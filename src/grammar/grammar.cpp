@@ -1,7 +1,6 @@
 #include "grammar/grammar.hpp"
 
 #include <cassert>
-#include <stdexcept>
 #include <unordered_map>
 
 namespace mmx::grammar {
@@ -71,22 +70,6 @@ void Grammar::computeFirstSets() {
       }
     }
   }
-}
-
-void Grammar::firstOfSeq(const GSym* seq, size_t len, const DynBitset& tail,
-                         DynBitset& out) const {
-  if (nullable_.empty())
-    throw std::logic_error("Grammar::firstOfSeq before computeFirstSets");
-  for (size_t i = 0; i < len; ++i) {
-    const GSym& s = seq[i];
-    if (s.isTerm()) {
-      out.set(s.idx);
-      return;
-    }
-    out.merge(first_[s.idx]);
-    if (!nullable_[s.idx]) return;
-  }
-  out.merge(tail);
 }
 
 } // namespace mmx::grammar

@@ -83,18 +83,11 @@ public:
 
   // --- analysis -----------------------------------------------------------
   /// Computes nullable + FIRST for every nonterminal. Must be called after
-  /// the grammar is complete and before first()/firstOfSeq().
+  /// the grammar is complete and before nullable()/first().
   void computeFirstSets();
 
   bool nullable(NonterminalId n) const { return nullable_[n]; }
   const DynBitset& first(NonterminalId n) const { return first_[n]; }
-
-  /// FIRST of a symbol sequence followed by the terminal-set `tail`
-  /// (used for LALR(1) closure: FIRST(beta a)). `out` must be sized to
-  /// terminalCount()+1 (the extra column is the end-of-input marker used
-  /// by parse/).
-  void firstOfSeq(const GSym* seq, size_t len, const DynBitset& tail,
-                  DynBitset& out) const;
 
 private:
   lex::LexSpec lexSpec_;

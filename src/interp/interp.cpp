@@ -209,6 +209,15 @@ public:
            std::to_string(args.size()));
     locals_.resize(f_.locals.size());
     for (size_t i = 0; i < args.size(); ++i) locals_[i] = std::move(args[i]);
+    // Scalar locals start at zero, as the emitted C declares them.
+    for (size_t i = args.size(); i < locals_.size(); ++i) {
+      switch (f_.locals[i].ty) {
+        case Ty::I32: locals_[i] = int32_t{0}; break;
+        case Ty::F32: locals_[i] = 0.0f; break;
+        case Ty::Bool: locals_[i] = false; break;
+        default: break;
+      }
+    }
     Flow fl = exec(*f_.body);
     if (fl != Flow::Return && !f_.rets.empty())
       fail(f_.name + ": control reached end of non-void function");

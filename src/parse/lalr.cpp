@@ -2,21 +2,68 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
 #include <sstream>
-#include <stdexcept>
+#include <unordered_map>
 
 namespace mmx::parse {
 
 using grammar::Grammar;
 using grammar::GSym;
-using grammar::Production;
 
 namespace detail {
 
 constexpr uint32_t kAugmented = 0xfffffffeu;
 
-/// Builder holding the LR(0) automaton plus LALR lookahead machinery.
+namespace {
+
+/// FNV-1a over a sorted kernel: the LR(0) state index key.
+struct KernelHash {
+  size_t operator()(const std::vector<Item>& kernel) const {
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (const Item& it : kernel)
+      h = (h ^ (uint64_t(it.prod) << 32 | it.dot)) * 0x100000001b3ull;
+    return static_cast<size_t>(h);
+  }
+};
+
+/// An LR(0) transition. The nonterminal ones are the nodes of the
+/// DeRemer–Pennello relations; their index is the node id.
+struct Transition {
+  uint32_t from, sym, to;
+};
+
+/// F(x) = F(x) ∪ ⋃{F(y) | x R y} for every x, in one Tarjan SCC pass
+/// (DeRemer & Pennello's `digraph`): every member of a strongly connected
+/// component ends with the component's union.
+void digraph(const std::vector<std::vector<uint32_t>>& rel,
+             std::vector<DynBitset>& f) {
+  constexpr uint32_t kDone = UINT32_MAX;
+  std::vector<uint32_t> depth(f.size(), 0), stack;
+  auto traverse = [&](auto& self, uint32_t x) -> void {
+    stack.push_back(x);
+    const auto d = static_cast<uint32_t>(stack.size());
+    depth[x] = d;
+    for (uint32_t y : rel[x]) {
+      if (depth[y] == 0) self(self, y);
+      depth[x] = std::min(depth[x], depth[y]);
+      f[x].merge(f[y]);
+    }
+    if (depth[x] != d) return;
+    for (;;) {
+      uint32_t top = stack.back();
+      stack.pop_back();
+      depth[top] = kDone;
+      if (top == x) break;
+      f[top] = f[x];
+    }
+  };
+  for (uint32_t x = 0; x < f.size(); ++x)
+    if (depth[x] == 0) traverse(traverse, x);
+}
+
+} // namespace
+
+/// Builder holding the LR(0) automaton plus the lookahead relations.
 class LalrBuilder {
 public:
   explicit LalrBuilder(const Grammar& g)
@@ -38,202 +85,143 @@ private:
     return g_.production(prod).rhs.size();
   }
 
-  // --- LR(0) ----------------------------------------------------------
-  /// LR(0) closure of a kernel: returns all items (kernel + derived).
-  std::vector<Item> closure0(const std::vector<Item>& kernel) const;
   void buildLr0();
-
-  // --- LALR lookaheads -----------------------------------------------------
-  /// LR(1) closure over (item, lookahead-set) pairs. Lookahead sets use
-  /// nTerm_+2 columns: [0,nTerm_) terminals, nTerm_ = EOF, nTerm_+1 = probe.
-  struct LItem {
-    Item item;
-    DynBitset la;
-  };
-  std::vector<LItem> closure1(const std::vector<LItem>& seed) const;
+  /// Index of the transition on `sym` out of `state` (it must exist).
+  static uint32_t find(const std::vector<Transition>& trans,
+                       const std::vector<uint32_t>& begin, uint32_t state,
+                       uint32_t sym) {
+    auto f = std::lower_bound(
+        trans.begin() + begin[state], trans.begin() + begin[state + 1], sym,
+        [](const Transition& t, uint32_t s) { return t.sym < s; });
+    return static_cast<uint32_t>(f - trans.begin());
+  }
   void computeLookaheads();
-
-  // --- tables ------------------------------------------------------------
   LalrTables fillTables();
 
   void recordAction(std::vector<Action>& action, uint32_t state, uint32_t col,
                     Action a, std::vector<Conflict>& conflicts,
                     uint32_t reduceProdForDiag);
 
-  std::string itemToString(const Item& it) const;
-
   const Grammar& g_;
   size_t nTerm_, nNT_;
   std::array<GSym, 1> augRhs_;
 
-  // LR(0) automaton.
-  std::vector<std::vector<Item>> kernels_;               // per state, sorted
-  std::map<std::vector<Item>, uint32_t> stateIds_;
-  std::vector<std::map<uint32_t, uint32_t>> gotoTerm_;   // state -> term -> state
-  std::vector<std::map<uint32_t, uint32_t>> gotoNT_;     // state -> nt -> state
+  // LR(0) automaton. Transitions are sorted by (from, sym); state s owns
+  // [begin[s], begin[s + 1]).
+  std::vector<std::vector<Item>> kernels_; // per state, sorted
+  std::unordered_map<std::vector<Item>, uint32_t, KernelHash> stateIds_;
+  std::vector<Transition> termTrans_, ntTrans_;
+  std::vector<uint32_t> termBegin_, ntBegin_;
 
-  // Lookaheads per (state, kernel item index).
-  std::vector<std::vector<DynBitset>> la_;
-  // Propagation links: (state, kidx) -> list of (state, kidx).
-  std::vector<std::vector<std::vector<std::pair<uint32_t, uint32_t>>>> links_;
+  // Follow set per nonterminal transition (terminals + the EOF column).
+  std::vector<DynBitset> follow_;
+  // lookback: (key, transition) with key = state << 33 | isEpsilon << 32 |
+  // prod. Sorted, a state's reductions come in table-filling order: its
+  // completed kernel items by production (the augmented one sorts last,
+  // as in the kernel), then its ε-productions by id.
+  std::vector<std::pair<uint64_t, uint32_t>> lookback_;
 };
 
-std::vector<Item> LalrBuilder::closure0(const std::vector<Item>& kernel) const {
-  std::vector<Item> items = kernel;
-  std::vector<uint8_t> ntAdded(nNT_, 0);
-  for (size_t i = 0; i < items.size(); ++i) {
-    const Item it = items[i];
-    if (it.dot >= rhsLen(it.prod)) continue;
-    GSym s = rhs(it.prod)[it.dot];
-    if (s.isTerm() || ntAdded[s.idx]) continue;
-    ntAdded[s.idx] = 1;
-    for (uint32_t p : g_.productionsOf(s.idx))
-      items.push_back({p, 0});
-  }
-  return items;
-}
-
 void LalrBuilder::buildLr0() {
-  std::vector<Item> k0{{kAugmented, 0}};
-  stateIds_[k0] = 0;
-  kernels_.push_back(k0);
-  gotoTerm_.emplace_back();
-  gotoNT_.emplace_back();
+  // Kernel items moved over each symbol (terminals first, then
+  // nonterminals at nTerm_ + nt), reused across states.
+  std::vector<std::vector<Item>> bucket(nTerm_ + nNT_);
+  std::vector<uint32_t> touched, ntQueue;
+  std::vector<uint32_t> ntSeen(nNT_, UINT32_MAX); // state that queued an NT
+  kernels_.push_back({{kAugmented, 0}});
+  stateIds_.emplace(kernels_[0], 0);
 
   for (uint32_t cur = 0; cur < kernels_.size(); ++cur) {
-    auto items = closure0(kernels_[cur]);
-    // Group items by the symbol after the dot.
-    std::map<std::pair<int, uint32_t>, std::vector<Item>> moved;
-    for (const Item& it : items) {
-      if (it.dot >= rhsLen(it.prod)) continue;
+    termBegin_.push_back(static_cast<uint32_t>(termTrans_.size()));
+    ntBegin_.push_back(static_cast<uint32_t>(ntTrans_.size()));
+    auto move = [&](Item it) {
       GSym s = rhs(it.prod)[it.dot];
-      moved[{s.isTerm() ? 0 : 1, s.idx}].push_back({it.prod, it.dot + 1});
-    }
-    for (auto& [key, kern] : moved) {
+      const auto key =
+          static_cast<uint32_t>(s.isTerm() ? s.idx : nTerm_ + s.idx);
+      if (bucket[key].empty()) touched.push_back(key);
+      bucket[key].push_back({it.prod, it.dot + 1});
+      if (!s.isTerm() && ntSeen[s.idx] != cur) {
+        ntSeen[s.idx] = cur;
+        ntQueue.push_back(s.idx);
+      }
+    };
+    // LR(0) closure, walked without materializing the derived items.
+    for (const Item& it : kernels_[cur])
+      if (it.dot < rhsLen(it.prod)) move(it);
+    for (size_t i = 0; i < ntQueue.size(); ++i)
+      for (uint32_t p : g_.productionsOf(ntQueue[i]))
+        if (!g_.production(p).rhs.empty()) move({p, 0});
+    ntQueue.clear();
+
+    std::sort(touched.begin(), touched.end());
+    for (uint32_t key : touched) {
+      std::vector<Item>& kern = bucket[key];
       std::sort(kern.begin(), kern.end());
-      kern.erase(std::unique(kern.begin(), kern.end()), kern.end());
-      auto [slot, inserted] =
-          stateIds_.emplace(kern, static_cast<uint32_t>(kernels_.size()));
-      if (inserted) {
-        kernels_.push_back(kern);
-        gotoTerm_.emplace_back();
-        gotoNT_.emplace_back();
-      }
-      if (key.first == 0)
-        gotoTerm_[cur][key.second] = slot->second;
+      auto [slot, inserted] = stateIds_.try_emplace(
+          kern, static_cast<uint32_t>(kernels_.size()));
+      if (inserted) kernels_.push_back(kern);
+      if (key < nTerm_)
+        termTrans_.push_back({cur, key, slot->second});
       else
-        gotoNT_[cur][key.second] = slot->second;
+        ntTrans_.push_back(
+            {cur, static_cast<uint32_t>(key - nTerm_), slot->second});
+      kern.clear();
     }
+    touched.clear();
   }
+  termBegin_.push_back(static_cast<uint32_t>(termTrans_.size()));
+  ntBegin_.push_back(static_cast<uint32_t>(ntTrans_.size()));
 }
 
-std::vector<LalrBuilder::LItem> LalrBuilder::closure1(
-    const std::vector<LItem>& seed) const {
-  // Map (prod, dot) -> index in result.
-  std::vector<LItem> items;
-  std::map<Item, size_t> index;
-  std::vector<size_t> work;
-
-  auto add = [&](Item it, const DynBitset& la) {
-    auto f = index.find(it);
-    if (f == index.end()) {
-      index[it] = items.size();
-      items.push_back({it, la});
-      work.push_back(items.size() - 1);
-    } else if (items[f->second].la.merge(la)) {
-      work.push_back(f->second);
-    }
-  };
-
-  for (const auto& s : seed) add(s.item, s.la);
-
-  while (!work.empty()) {
-    size_t i = work.back();
-    work.pop_back();
-    Item it = items[i].item;
-    DynBitset la = items[i].la; // copy: items may reallocate below
-    if (it.dot >= rhsLen(it.prod)) continue;
-    GSym s = rhs(it.prod)[it.dot];
-    if (s.isTerm()) continue;
-    // FIRST(beta . la)
-    DynBitset firstBeta(nTerm_ + 2);
-    g_.firstOfSeq(rhs(it.prod) + it.dot + 1, rhsLen(it.prod) - it.dot - 1, la,
-                  firstBeta);
-    for (uint32_t p : g_.productionsOf(s.idx)) add({p, 0}, firstBeta);
-  }
-  return items;
-}
-
+// DeRemer & Pennello, "Efficient Computation of LALR(1) Look-Ahead Sets"
+// (TOPLAS 1982), over the nonterminal transitions x = (p, A):
+//   DR(x)      terminals shifted from goto(p, A) (+ EOF after the start)
+//   reads      (p, A) reads (r, C)     r = goto(p, A), C nullable
+//   Read       = digraph(DR, reads)
+//   includes   (p, A) includes (p', B) B -> β A γ, γ nullable, p' -β-> p
+//   Follow     = digraph(Read, includes)
+//   lookback   (q, A -> ω) to (p, A)   p -ω-> q
+//   LA(q, A -> ω) = ⋃ Follow over its lookback.
 void LalrBuilder::computeLookaheads() {
-  const size_t cols = nTerm_ + 2; // terminals + EOF + probe
-  const size_t probe = nTerm_ + 1;
-
-  la_.resize(kernels_.size());
-  links_.resize(kernels_.size());
-  for (uint32_t s = 0; s < kernels_.size(); ++s) {
-    la_[s].assign(kernels_[s].size(), DynBitset(cols));
-    links_[s].assign(kernels_[s].size(), {});
+  const size_t nX = ntTrans_.size();
+  follow_.assign(nX, DynBitset(nTerm_ + 1));
+  std::vector<std::vector<uint32_t>> reads(nX), includes(nX);
+  for (uint32_t x = 0; x < nX; ++x) {
+    const uint32_t r = ntTrans_[x].to;
+    for (uint32_t i = termBegin_[r]; i < termBegin_[r + 1]; ++i)
+      follow_[x].set(termTrans_[i].sym);
+    for (uint32_t y = ntBegin_[r]; y < ntBegin_[r + 1]; ++y)
+      if (g_.nullable(ntTrans_[y].sym)) reads[x].push_back(y);
   }
+  const uint32_t start = find(ntTrans_, ntBegin_, 0, g_.start());
+  follow_[start].set(nTerm_);
+  digraph(reads, follow_);
 
-  auto kernelIndex = [&](uint32_t state, Item it) -> uint32_t {
-    const auto& k = kernels_[state];
-    auto f = std::lower_bound(k.begin(), k.end(), it);
-    if (f == k.end() || !(*f == it))
-      throw std::logic_error("LALR: kernel item not found");
-    return static_cast<uint32_t>(f - k.begin());
-  };
-
-  // Spontaneous lookaheads + propagation links (Algorithm 4.63).
-  for (uint32_t s = 0; s < kernels_.size(); ++s) {
-    for (uint32_t ki = 0; ki < kernels_[s].size(); ++ki) {
-      DynBitset seedLa(cols);
-      seedLa.set(probe);
-      auto closure = closure1({{kernels_[s][ki], seedLa}});
-      for (const auto& ci : closure) {
-        if (ci.item.dot >= rhsLen(ci.item.prod)) continue;
-        GSym x = rhs(ci.item.prod)[ci.item.dot];
-        uint32_t tgtState = x.isTerm() ? gotoTerm_[s].at(x.idx)
-                                       : gotoNT_[s].at(x.idx);
-        uint32_t tgtIdx =
-            kernelIndex(tgtState, {ci.item.prod, ci.item.dot + 1});
-        ci.la.forEach([&](size_t t) {
-          if (t == probe)
-            links_[s][ki].push_back({tgtState, tgtIdx});
-          else
-            la_[tgtState][tgtIdx].set(t);
-        });
+  for (uint32_t x = 0; x < nX; ++x) {
+    for (uint32_t p : g_.productionsOf(ntTrans_[x].sym)) {
+      const std::vector<GSym>& r = g_.production(p).rhs;
+      size_t nullableTail = r.size(); // r[nullableTail..] derives ε
+      while (nullableTail > 0 && !r[nullableTail - 1].isTerm() &&
+             g_.nullable(r[nullableTail - 1].idx))
+        --nullableTail;
+      uint32_t cur = ntTrans_[x].from;
+      for (size_t i = 0; i < r.size(); ++i) {
+        if (r[i].isTerm()) {
+          cur = termTrans_[find(termTrans_, termBegin_, cur, r[i].idx)].to;
+          continue;
+        }
+        const uint32_t y = find(ntTrans_, ntBegin_, cur, r[i].idx);
+        if (i + 1 >= nullableTail) includes[y].push_back(x);
+        cur = ntTrans_[y].to;
       }
+      lookback_.push_back(
+          {uint64_t(cur) << 33 | uint64_t(r.empty()) << 32 | p, x});
     }
   }
-
-  // EOF on the augmented start item.
-  la_[0][kernelIndex(0, {kAugmented, 0})].set(nTerm_);
-
-  // Propagate to fixpoint.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (uint32_t s = 0; s < kernels_.size(); ++s)
-      for (uint32_t ki = 0; ki < kernels_[s].size(); ++ki)
-        for (auto [ts, tk] : links_[s][ki])
-          if (la_[ts][tk].merge(la_[s][ki])) changed = true;
-  }
-}
-
-std::string LalrBuilder::itemToString(const Item& it) const {
-  std::ostringstream out;
-  if (it.prod == kAugmented) {
-    out << "S' ->";
-  } else {
-    const Production& p = g_.production(it.prod);
-    out << g_.nonterminalName(p.lhs) << " [" << p.name << "] ->";
-  }
-  for (size_t i = 0; i < rhsLen(it.prod); ++i) {
-    if (i == it.dot) out << " .";
-    out << ' ' << g_.symbolName(rhs(it.prod)[i]);
-  }
-  if (it.dot == rhsLen(it.prod)) out << " .";
-  return out.str();
+  digraph(includes, follow_);
+  // The accept item S' -> S. in goto(0, S).
+  lookback_.push_back({uint64_t(ntTrans_[start].to) << 33 | kAugmented, start});
+  std::sort(lookback_.begin(), lookback_.end());
 }
 
 void LalrBuilder::recordAction(std::vector<Action>& action, uint32_t state,
@@ -294,31 +282,32 @@ LalrTables LalrBuilder::fillTables() {
   t.nNT_ = nNT_;
   t.action_.assign(t.numStates_ * (nTerm_ + 1), Action{});
   t.goto_.assign(t.numStates_ * nNT_, -1);
-  t.kernels_ = kernels_;
 
-  for (uint32_t s = 0; s < kernels_.size(); ++s) {
-    for (auto [term, tgt] : gotoTerm_[s])
-      recordAction(t.action_, s, term,
-                   {Action::Kind::Shift, tgt}, t.conflicts_, kAugmented);
-    for (auto [nt, tgt] : gotoNT_[s])
-      t.goto_[size_t(s) * nNT_ + nt] = static_cast<int32_t>(tgt);
+  DynBitset la(nTerm_ + 1);
+  size_t lb = 0;
+  for (uint32_t s = 0; s < t.numStates_; ++s) {
+    for (uint32_t i = termBegin_[s]; i < termBegin_[s + 1]; ++i)
+      recordAction(t.action_, s, termTrans_[i].sym,
+                   {Action::Kind::Shift, termTrans_[i].to}, t.conflicts_,
+                   kAugmented);
+    for (uint32_t i = ntBegin_[s]; i < ntBegin_[s + 1]; ++i)
+      t.goto_[size_t(s) * nNT_ + ntTrans_[i].sym] =
+          static_cast<int32_t>(ntTrans_[i].to);
 
-    // Reduce/accept: LR(1) closure of the kernel with final lookaheads.
-    std::vector<LItem> seed;
-    for (uint32_t ki = 0; ki < kernels_[s].size(); ++ki)
-      seed.push_back({kernels_[s][ki], la_[s][ki]});
-    for (const auto& ci : closure1(seed)) {
-      if (ci.item.dot < rhsLen(ci.item.prod)) continue;
-      if (ci.item.prod == kAugmented) {
+    while (lb < lookback_.size() && (lookback_[lb].first >> 33) == s) {
+      const uint64_t key = lookback_[lb].first;
+      la.clear();
+      for (; lb < lookback_.size() && lookback_[lb].first == key; ++lb)
+        la.merge(follow_[lookback_[lb].second]);
+      const auto prod = static_cast<uint32_t>(key);
+      if (prod == kAugmented) {
         recordAction(t.action_, s, static_cast<uint32_t>(nTerm_),
                      {Action::Kind::Accept, 0}, t.conflicts_, kAugmented);
         continue;
       }
-      ci.la.forEach([&](size_t col) {
-        if (col > nTerm_) return; // probe column never reaches here
+      la.forEach([&](size_t col) {
         recordAction(t.action_, s, static_cast<uint32_t>(col),
-                     {Action::Kind::Reduce, ci.item.prod}, t.conflicts_,
-                     ci.item.prod);
+                     {Action::Kind::Reduce, prod}, t.conflicts_, prod);
       });
     }
   }
@@ -332,6 +321,7 @@ LalrTables LalrBuilder::fillTables() {
         v.set(c);
     t.validTerms_.push_back(std::move(v));
   }
+  t.kernels_ = std::move(kernels_);
   return t;
 }
 

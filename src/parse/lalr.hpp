@@ -1,8 +1,13 @@
 // LALR(1) table construction in the style of Copper: exact LALR lookaheads
-// via the kernel-item propagation algorithm (Aho et al., Algorithm 4.63),
-// conflict reporting precise enough to drive the modular determinism
+// computed with DeRemer & Pennello's relations (TOPLAS 1982) over the LR(0)
+// nonterminal transitions — `reads` and `includes`, each solved by one SCC
+// digraph pass over terminal bitsets, and `lookback` from each reduction to
+// the transitions whose Follow sets it unions — so no LR(1) closure runs.
+// Conflict reporting is precise enough to drive the modular determinism
 // analysis (analysis/determinism.hpp), and per-state valid-terminal sets
-// that feed the context-aware scanner.
+// feed the context-aware scanner. Conflicts are recorded per state: shifts
+// in terminal order, then reductions of completed kernel items in kernel
+// order, then ε-productions in ascending production id.
 #pragma once
 
 #include <cstdint>

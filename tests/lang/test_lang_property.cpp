@@ -72,6 +72,10 @@ struct SliceCase {
   std::vector<float> expect;
 };
 
+// Printed by name: the default byte dump holds pointers that ASLR moves,
+// which would give the discovered ctest names new bytes on every build.
+void PrintTo(const SliceCase& c, std::ostream* os) { *os << c.name; }
+
 class SliceP : public ::testing::TestWithParam<SliceCase> {};
 
 TEST_P(SliceP, MatchesReference) {
