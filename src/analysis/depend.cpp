@@ -45,43 +45,6 @@ namespace mmx::analysis {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Builtin effect table (mirrors parsafe.cpp).
-
-struct BuiltinEffect {
-  bool io = false;        // observable side effect, or mutable runtime state
-  bool metaOnly = false;  // reads matrix metadata (shape) only, not elements
-  bool aliasArg0 = false; // returns its first argument's handle
-};
-
-const BuiltinEffect* builtinEffect(const std::string& name) {
-  static const std::map<std::string, BuiltinEffect> table = {
-      {"writeMatrix", {true, false, false}},
-      {"printInt", {true, false, false}},
-      {"printFloat", {true, false, false}},
-      {"printBool", {true, false, false}},
-      {"printStr", {true, false, false}},
-      {"printShape", {true, true, false}},
-      {"rcLive", {true, true, false}},
-      {"refCount", {true, true, false}},
-      {"checkMatrixMeta", {false, true, true}},
-      {"checkGenBounds", {false, true, false}},
-      {"readMatrix", {false, false, false}},
-      {"initMatrix", {false, false, false}},
-      {"cloneMatrix", {false, false, false}},
-      {"connComp", {false, false, false}},
-      {"detectEddies", {false, false, false}},
-      {"synthSsh", {false, false, false}},
-      {"matToFloat", {false, false, false}},
-      {"numThreads", {false, false, false}},
-      {"sqrtF", {false, false, false}},
-      {"absF", {false, false, false}},
-      {"absI", {false, false, false}},
-  };
-  auto it = table.find(name);
-  return it == table.end() ? nullptr : &it->second;
-}
-
-// ---------------------------------------------------------------------------
 // Atoms and polynomials.
 
 struct AtomInfo {
@@ -582,12 +545,12 @@ struct Walker {
       case ir::Expr::K::DimSize:
         return;  // metadata only
       case ir::Expr::K::Call: {
-        const BuiltinEffect* be = builtinEffect(e.s);
-        if (!be || be->io) hasIO = true;
+        const ir::BuiltinInfo& bi = ir::builtinInfo(e.builtin);
+        if (bi.io) hasIO = true;
         for (auto& a : e.args) {
           if (!a) continue;
           if (a->ty == ir::Ty::Mat) {
-            if (be && be->metaOnly) continue;
+            if (bi.metaOnly) continue;
             if (a->k == ir::Expr::K::Var)
               record(a->slot, false, Poly::bad());
             else
@@ -645,10 +608,9 @@ struct Walker {
             roots[s.slot] = rootsOf(rhs.slot);  // handle copy, no element read
           } else {
             reads(rhs);
-            const BuiltinEffect* be =
-                rhs.k == ir::Expr::K::Call ? builtinEffect(rhs.s) : nullptr;
-            if (be && be->aliasArg0 && !rhs.args.empty() &&
-                rhs.args[0]->k == ir::Expr::K::Var)
+            if (rhs.k == ir::Expr::K::Call &&
+                ir::builtinInfo(rhs.builtin).aliasArg0 &&
+                !rhs.args.empty() && rhs.args[0]->k == ir::Expr::K::Var)
               roots[s.slot] = rootsOf(rhs.args[0]->slot);
             else
               roots[s.slot] = {freshRoot++};

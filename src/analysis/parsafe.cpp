@@ -37,46 +37,6 @@ namespace mmx::analysis {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Builtin effect table.
-
-struct BuiltinEffect {
-  bool io = false;        // observable side effect, or mutable runtime state
-  bool metaOnly = false;  // reads matrix metadata (shape) only, not elements
-  bool aliasArg0 = false; // returns its first argument's handle
-};
-
-const BuiltinEffect* builtinEffect(const std::string& name) {
-  static const std::map<std::string, BuiltinEffect> table = {
-      // IO / runtime state.
-      {"writeMatrix", {true, false, false}},
-      {"printInt", {true, false, false}},
-      {"printFloat", {true, false, false}},
-      {"printBool", {true, false, false}},
-      {"printStr", {true, false, false}},
-      {"printShape", {true, true, false}},
-      {"rcLive", {true, true, false}},
-      {"refCount", {true, true, false}},
-      // Metadata-only helpers.
-      {"checkMatrixMeta", {false, true, true}},
-      {"checkGenBounds", {false, true, false}},
-      // Pure; matrix results are freshly allocated.
-      {"readMatrix", {false, false, false}},
-      {"initMatrix", {false, false, false}},
-      {"cloneMatrix", {false, false, false}},
-      {"connComp", {false, false, false}},
-      {"detectEddies", {false, false, false}},
-      {"synthSsh", {false, false, false}},
-      {"matToFloat", {false, false, false}},
-      {"numThreads", {false, false, false}},
-      {"sqrtF", {false, false, false}},
-      {"absF", {false, false, false}},
-      {"absI", {false, false, false}},
-  };
-  auto it = table.find(name);
-  return it == table.end() ? nullptr : &it->second;
-}
-
-// ---------------------------------------------------------------------------
 // Symbolic per-iteration values.
 
 struct SymVal {
@@ -358,17 +318,14 @@ struct SymTransfer {
         return SymVal::inv();
       }
       case ir::Expr::K::Call: {
-        const BuiltinEffect* be = builtinEffect(e.s);
-        if (be && be->aliasArg0 && !e.args.empty())
-          return eval(*e.args[0], st);
-        if (be && !be->io) {
-          if (e.ty == ir::Ty::Mat) return SymVal::fresh();
-          for (const auto& a : e.args)
-            if (a && !(eval(*a, st).k == SymVal::K::Inv))
-              return SymVal::unknown();
-          return SymVal::inv();
-        }
-        return SymVal::unknown();
+        const ir::BuiltinInfo& bi = ir::builtinInfo(e.builtin);
+        if (bi.aliasArg0 && !e.args.empty()) return eval(*e.args[0], st);
+        if (bi.io) return SymVal::unknown();
+        if (e.ty == ir::Ty::Mat) return SymVal::fresh();
+        for (const auto& a : e.args)
+          if (a && !(eval(*a, st).k == SymVal::K::Inv))
+            return SymVal::unknown();
+        return SymVal::inv();
       }
       case ir::Expr::K::Index:
       case ir::Expr::K::RangeLit:
@@ -417,36 +374,16 @@ struct SymTransfer {
         scanReads(*e.args[1], st);
         return;
       case ir::Expr::K::Call: {
-        const BuiltinEffect* be = builtinEffect(e.s);
-        const ir::Function* callee = be ? nullptr : mod.find(e.s);
-        const FnSummary* cs = nullptr;
-        if (callee) {
-          auto it = sums.find(callee);
-          if (it != sums.end()) cs = &it->second;
-        }
-        if (be) {
-          if (be->io)
-            eff.reason("the body calls '" + e.s + "', which performs IO");
-        } else if (cs) {
-          if (cs->hasIO)
-            eff.reason("the body calls '" + e.s + "', which performs IO");
-        } else {
-          eff.reason("the body calls '" + e.s +
-                     "', whose effects are unknown");
-        }
-        bool metaOnly = be && be->metaOnly;
-        for (size_t j = 0; j < e.args.size(); ++j) {
-          const ir::Expr& a = *e.args[j];
-          if (a.k == ir::Expr::K::Var && a.ty == ir::Ty::Mat) {
-            if (metaOnly || !shared(st, a.slot)) continue;
-            if (cs && j < cs->writesParam.size() && cs->writesParam[j])
-              eff.reason("matrix '" + varName(f, a.slot) +
-                             "' may be written through the call to '" + e.s +
-                             "'",
-                         a.slot);
-            eff.mat[a.slot].wholeRead = true;
+        const ir::BuiltinInfo& bi = ir::builtinInfo(e.builtin);
+        if (bi.io)
+          eff.reason("the body calls '" + std::string(bi.name) +
+                     "', which performs IO");
+        for (const auto& a : e.args) {
+          if (a->k == ir::Expr::K::Var && a->ty == ir::Ty::Mat) {
+            if (!bi.metaOnly && shared(st, a->slot))
+              eff.mat[a->slot].wholeRead = true;
           } else {
-            scanReads(a, st);
+            scanReads(*a, st);
           }
         }
         return;
@@ -693,9 +630,9 @@ FnSummary computeSummary(const ir::Module& m, const ir::Function& f,
               if (alias[e.slot][j]) acc[j] = true;
           return;
         }
-        const BuiltinEffect* be =
-            e.k == ir::Expr::K::Call ? builtinEffect(e.s) : nullptr;
-        if (be && be->aliasArg0 && !e.args.empty()) aliasOf(*e.args[0], acc);
+        if (e.k == ir::Expr::K::Call && ir::builtinInfo(e.builtin).aliasArg0 &&
+            !e.args.empty())
+          aliasOf(*e.args[0], acc);
         // Everything else evaluates to a fresh matrix or a scalar.
       };
   auto orInto = [](std::vector<bool>& into, const std::vector<bool>& from) {
@@ -763,26 +700,8 @@ FnSummary computeSummary(const ir::Module& m, const ir::Function& f,
       }
     }
     forEachStmtExpr(s, [&](const ir::Expr& e) {
-      if (e.k != ir::Expr::K::Call) return;
-      const BuiltinEffect* be = builtinEffect(e.s);
-      if (be) {
-        if (be->io) out.hasIO = true;
-        return;
-      }
-      const ir::Function* callee = m.find(e.s);
-      auto it = callee ? sums.find(callee) : sums.end();
-      if (it == sums.end() || it->second.hasIO) out.hasIO = true;
-      // A user function reached through a Call expression cannot write
-      // its arguments' frames, but may write Mat argument buffers.
-      for (size_t j = 0; it != sums.end() && j < e.args.size(); ++j) {
-        if (j < it->second.writesParam.size() && it->second.writesParam[j] &&
-            e.args[j]) {
-          std::vector<bool> acc(f.numParams);
-          aliasOf(*e.args[j], acc);
-          for (size_t p = 0; p < f.numParams; ++p)
-            if (acc[p]) out.writesParam[p] = true;
-        }
-      }
+      if (e.k == ir::Expr::K::Call && ir::builtinInfo(e.builtin).io)
+        out.hasIO = true;
     });
   });
   return out;

@@ -531,8 +531,8 @@ private:
 
   MatInfo evalMatCall(const Expr& e, const State& st) {
     MatInfo m;
-    const std::string& c = e.s;
-    if (c == "initMatrix") {
+    const ir::Builtin c = e.builtin;
+    if (c == ir::Builtin::InitMatrix) {
       m.vid = siteVid(&e, 0);
       m.init = true;
       m.rank = static_cast<int32_t>(e.args.size()) - 1;
@@ -545,7 +545,7 @@ private:
       }
       return m;
     }
-    if (c == "checkMatrixMeta") {
+    if (c == ir::Builtin::CheckMatrixMeta) {
       MatInfo src = evalMat(*e.args[0], st);
       Form elemF = evalInt(*e.args[1], st);
       Form rankF = evalInt(*e.args[2], st);
@@ -564,16 +564,16 @@ private:
       }
       return m;
     }
-    if (c == "cloneMatrix" || c == "matToFloat") {
+    if (c == ir::Builtin::CloneMatrix || c == ir::Builtin::MatToFloat) {
       MatInfo src = evalMat(*e.args[0], st);
       m.vid = siteVid(&e, 0);
       m.init = true;
       m.rank = src.rank;
       m.dims = src.dims;
-      m.elem = c == "matToFloat" ? 1 : src.elem;
+      m.elem = c == ir::Builtin::MatToFloat ? 1 : src.elem;
       return m;
     }
-    if (c == "synthSsh") {
+    if (c == ir::Builtin::SynthSsh) {
       m.vid = siteVid(&e, 0);
       m.init = true;
       m.rank = 3;
@@ -699,8 +699,8 @@ private:
   }
 
   void classifyCallSite(const Expr& e, const State& st) {
-    const std::string& c = e.s;
-    if (c == "initMatrix") {
+    const ir::Builtin c = e.builtin;
+    if (c == ir::Builtin::InitMatrix) {
       bool allSafe = true;
       for (size_t i = 1; i < e.args.size(); ++i) {
         Form d = evalInt(*e.args[i], st);
@@ -714,7 +714,7 @@ private:
       record(&e, allSafe ? Class::Safe : Class::Unknown);
       return;
     }
-    if (c == "checkMatrixMeta") {
+    if (c == ir::Builtin::CheckMatrixMeta) {
       MatInfo src = evalMat(*e.args[0], st);
       Form elemF = evalInt(*e.args[1], st);
       Form rankF = evalInt(*e.args[2], st);
@@ -735,7 +735,7 @@ private:
                      : Class::Unknown);
       return;
     }
-    if (c == "checkGenBounds") {
+    if (c == ir::Builtin::CheckGenBounds) {
       Form hi = evalInt(*e.args[0], st);
       Form dim = evalInt(*e.args[1], st);
       Form over = addForms(hi, dim, -1);
@@ -1292,8 +1292,9 @@ private:
                    e.args[1]->ty == ir::Ty::Mat;
             break;
           case Expr::K::Call:
-            site = e.s == "initMatrix" || e.s == "checkMatrixMeta" ||
-                   e.s == "checkGenBounds";
+            site = e.builtin == ir::Builtin::InitMatrix ||
+                   e.builtin == ir::Builtin::CheckMatrixMeta ||
+                   e.builtin == ir::Builtin::CheckGenBounds;
             break;
           default:
             break;
@@ -1701,7 +1702,8 @@ void matchGenarrayFullWrites(const std::vector<ir::StmtPtr>& kids,
     const ir::Stmt& def = *kids[defIdx];
     if (def.k != ir::Stmt::K::Assign || def.exprs.size() != 1) continue;
     const ir::Expr& init = *def.exprs[0];
-    if (init.k != ir::Expr::K::Call || init.s != "initMatrix") continue;
+    if (init.k != ir::Expr::K::Call || init.builtin != ir::Builtin::InitMatrix)
+      continue;
     if (init.args.size() != rank + 1) continue;
     if (init.args[0]->k != ir::Expr::K::ConstI) continue;
     std::vector<int32_t> dim;

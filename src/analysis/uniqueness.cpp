@@ -1,42 +1,7 @@
 #include "analysis/uniqueness.hpp"
 
-#include <set>
 
 namespace mmx::analysis {
-
-// ---------------------------------------------------------------------------
-// Builtin classification. interp/builtins.cpp is the ground truth: every
-// builtin there either allocates a fresh result, merely reads its
-// arguments, or observes refcounts. Anything not listed is treated as
-// capturing (conservative), so adding a builtin without updating these
-// tables can only suppress rewrites, never enable a wrong one.
-
-bool builtinReturnsFresh(const std::string& callee) {
-  static const std::set<std::string> k = {"initMatrix", "cloneMatrix",
-                                          "readMatrix", "synthSsh",
-                                          "connComp",   "detectEddies"};
-  return k.count(callee) != 0;
-}
-
-bool builtinObservesRefcount(const std::string& callee) {
-  return callee == "refCount" || callee == "rcLive";
-}
-
-bool builtinBorrowsArgs(const std::string& callee) {
-  // matToFloat is deliberately absent: it may return its argument's buffer
-  // unchanged when the element type already matches.
-  static const std::set<std::string> k = {
-      "initMatrix", "cloneMatrix",     "readMatrix",      "synthSsh",
-      "connComp",   "detectEddies",    "writeMatrix",     "checkGenBounds",
-      "checkMatrixMeta", "numThreads", "printInt",        "printFloat",
-      "printBool",  "printStr",        "printShape",      "sqrtF",
-      "absF",       "absI"};
-  return k.count(callee) != 0;
-}
-
-bool builtinPureScalar(const std::string& callee) {
-  return callee == "sqrtF" || callee == "absF" || callee == "absI";
-}
 
 namespace {
 
@@ -51,7 +16,7 @@ bool freshMatExpr(const ir::Expr& e) {
   if (e.ty != ir::Ty::Mat) return false;
   switch (e.k) {
     case ir::Expr::K::Call:
-      return builtinReturnsFresh(e.s);
+      return ir::builtinInfo(e.builtin).returnsFresh;
     case ir::Expr::K::Index:
     case ir::Expr::K::RangeLit:
     case ir::Expr::K::Arith:
@@ -129,7 +94,8 @@ std::vector<bool> escapingUse(const ir::Function& f, const SummaryMap& sums) {
   forEachStmt(*f.body, [&](const ir::Stmt& s) {
     forEachStmtExpr(s, [&](const ir::Expr& root) {
       forEachExpr(root, [&](const ir::Expr& x) {
-        if (x.k != ir::Expr::K::Call || builtinBorrowsArgs(x.s)) return;
+        if (x.k != ir::Expr::K::Call || ir::builtinInfo(x.builtin).borrowsArgs)
+          return;
         for (const auto& a : x.args)
           if (a && isMatVar(*a)) esc[a->slot] = true;
       });
@@ -265,8 +231,9 @@ SlotSet observedSlots(const ir::Function& f, const SummaryMap& sums) {
   forEachStmt(*f.body, [&](const ir::Stmt& s) {
     forEachStmtExpr(s, [&](const ir::Expr& root) {
       forEachExpr(root, [&](const ir::Expr& x) {
-        if (x.k != ir::Expr::K::Call) return;
-        if (!builtinObservesRefcount(x.s)) return;
+        if (x.k != ir::Expr::K::Call ||
+            !ir::builtinInfo(x.builtin).observesRefcount)
+          return;
         for (const auto& a : x.args)
           if (a && isMatVar(*a)) seed[a->slot] = true;
       });
@@ -349,7 +316,8 @@ struct UniqueTransfer {
     // Calls evaluated by this statement may capture or observe Mat args.
     forEachStmtExpr(s, [&](const ir::Expr& root) {
       forEachExpr(root, [&](const ir::Expr& x) {
-        if (x.k != ir::Expr::K::Call || builtinBorrowsArgs(x.s)) return;
+        if (x.k != ir::Expr::K::Call || ir::builtinInfo(x.builtin).borrowsArgs)
+          return;
         for (const auto& a : x.args)
           if (a && isMatVar(*a)) st.set(a->slot, false);
       });

@@ -45,16 +45,6 @@ struct FnSummary {
 
 using SummaryMap = std::map<std::string, FnSummary>;
 
-/// Builtin classification shared by summaries, the per-function analysis,
-/// and the optimizer's pattern matchers (interp/builtins.cpp is the
-/// ground truth these tables mirror).
-bool builtinReturnsFresh(const std::string& callee);
-bool builtinBorrowsArgs(const std::string& callee);
-bool builtinObservesRefcount(const std::string& callee);
-/// Pure scalar math (sqrtF/absF/absI): safe to duplicate, delete, or
-/// reorder — the only calls the optimizer tolerates inside fused bodies.
-bool builtinPureScalar(const std::string& callee);
-
 /// Bottom-up summary computation over the whole module.
 SummaryMap summarizeModule(const ir::Module& m);
 

@@ -793,26 +793,27 @@ void installHostSemantics(Sema& s) {
   s.defineStmt("open_for", lowerFor, kExt);
 
   // ---- host builtins ------------------------------------------------------
-  auto print1 = [](const char* callee, Type want) {
-    return [callee, want](Sema& s2, const ast::NodePtr& n,
-                          std::vector<ExprRes> args) -> ExprRes {
+  auto print1 = [](ir::Builtin b, Type want) {
+    return [b, want](Sema& s2, const ast::NodePtr& n,
+                     std::vector<ExprRes> args) -> ExprRes {
       if (args.size() != 1 || args[0].bad()) {
         if (args.size() != 1)
-          s2.error(n->range, std::string(callee) + " takes one argument");
+          s2.error(n->range, std::string(ir::builtinInfo(b).name) +
+                                 " takes one argument");
         return ExprRes::error();
       }
       ExprRes a = s2.coerce(std::move(args[0]), want, n->range);
       if (a.bad()) return ExprRes::error();
       std::vector<ir::ExprPtr> irArgs;
       irArgs.push_back(std::move(a.code));
-      return ExprRes{Type::voidTy(),
-                     ir::call(callee, std::move(irArgs), ir::Ty::Void)};
+      return ExprRes{Type::voidTy(), ir::call(b, std::move(irArgs))};
     };
   };
-  s.defineBuiltin("printInt", print1("printInt", Type::intTy()));
-  s.defineBuiltin("printFloat", print1("printFloat", Type::floatTy()));
-  s.defineBuiltin("printBool", print1("printBool", Type::boolTy()));
-  s.defineBuiltin("printStr", print1("printStr", Type::strTy()));
+  s.defineBuiltin("printInt", print1(ir::Builtin::PrintInt, Type::intTy()));
+  s.defineBuiltin("printFloat",
+                  print1(ir::Builtin::PrintFloat, Type::floatTy()));
+  s.defineBuiltin("printBool", print1(ir::Builtin::PrintBool, Type::boolTy()));
+  s.defineBuiltin("printStr", print1(ir::Builtin::PrintStr, Type::strTy()));
   // ---- tuple syntax semantics (packaged with the host, §VI-A) -----------
   auto tupleTypeH = [](Sema& s2, const ast::NodePtr& n) {
     // ty_tuple: ( TypeList )  /  aty_tuple: (| ATypeList |)
@@ -855,7 +856,7 @@ void installHostSemantics(Sema& s) {
                       return ExprRes::error();
                     }
                     return ExprRes{Type::intTy(),
-                                   ir::call("numThreads", {}, ir::Ty::I32)};
+                                   ir::call(ir::Builtin::NumThreads, {})};
                   });
 }
 

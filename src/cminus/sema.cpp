@@ -277,7 +277,7 @@ ExprRes Sema::coerce(ExprRes r, const Type& want, SourceRange where) {
     args.push_back(std::move(r.code));
     args.push_back(ir::constI(static_cast<int32_t>(want.elem)));
     args.push_back(ir::constI(static_cast<int32_t>(want.rank)));
-    r.code = ir::call("checkMatrixMeta", std::move(args), ir::Ty::Mat);
+    r.code = ir::call(ir::Builtin::CheckMatrixMeta, std::move(args));
     r.type = want;
     return r;
   }

@@ -114,7 +114,7 @@ bool matLike(const Type& t) { return t.isMatrix(); }
 void promoteMatToFloat(ExprRes& m) {
   std::vector<ir::ExprPtr> args;
   args.push_back(std::move(m.code));
-  m.code = ir::call("matToFloat", std::move(args), ir::Ty::Mat);
+  m.code = ir::call(ir::Builtin::MatToFloat, std::move(args));
   m.type = Type::matrix(rt::Elem::F32, m.type.rank);
 }
 
@@ -503,14 +503,14 @@ ExprRes lowerWith(Sema& s, const ast::NodePtr& n) {
     initArgs.push_back(ir::constI(static_cast<int32_t>(elem)));
     for (size_t d = 0; d < rank; ++d)
       initArgs.push_back(ir::var(shape[d], ir::Ty::I32));
-    s.emit(ir::assign(res, ir::call("initMatrix", std::move(initArgs),
-                                    ir::Ty::Mat)));
+    s.emit(ir::assign(
+        res, ir::call(ir::Builtin::InitMatrix, std::move(initArgs))));
     for (size_t d = 0; d < rank; ++d) {
       std::vector<ir::ExprPtr> chk;
       chk.push_back(ir::var(g.hiEx[d], ir::Ty::I32));
       chk.push_back(ir::var(shape[d], ir::Ty::I32));
-      s.emit(ir::callStmt(ir::call("checkGenBounds", std::move(chk),
-                                   ir::Ty::Void)));
+      s.emit(ir::callStmt(
+          ir::call(ir::Builtin::CheckGenBounds, std::move(chk))));
     }
 
     ir::StmtPtr nest = buildNest(g, std::move(innerBody));
@@ -621,8 +621,8 @@ ExprRes lowerMatrixMap(Sema& s, const ast::NodePtr& n) {
     initArgs.push_back(
         ir::dimSize(ir::var(srcSlot, ir::Ty::Mat), ir::constI(d)));
   int32_t res = s.newTemp(src.type, "mmres");
-  s.emit(ir::assign(res, ir::call("initMatrix", std::move(initArgs),
-                                  ir::Ty::Mat)));
+  s.emit(ir::assign(res,
+                    ir::call(ir::Builtin::InitMatrix, std::move(initArgs))));
 
   // Iterate the product of the non-mapped dimensions.
   std::vector<uint32_t> others;
@@ -749,8 +749,8 @@ bool matrixAssignHook(Sema& s, const ast::NodePtr& lhs,
       // the destination — the extraneous copy the paper's fusion avoids.
       std::vector<ir::ExprPtr> args;
       args.push_back(std::move(e.code));
-      s.emit(ir::assign(v->slots[0], ir::call("cloneMatrix", std::move(args),
-                                              ir::Ty::Mat)));
+      s.emit(ir::assign(v->slots[0],
+                        ir::call(ir::Builtin::CloneMatrix, std::move(args))));
     }
     return true;
   }
@@ -833,7 +833,7 @@ void installBuiltins(Sema& s) {
     std::vector<ir::ExprPtr> a;
     a.push_back(std::move(args[0].code));
     return ExprRes{Type::matrixAny(),
-                   ir::call("readMatrix", std::move(a), ir::Ty::Mat)};
+                   ir::call(ir::Builtin::ReadMatrix, std::move(a))};
   });
   s.defineBuiltin("writeMatrix", [](Sema& s2, const ast::NodePtr& n,
                                     std::vector<ExprRes> args) -> ExprRes {
@@ -846,7 +846,7 @@ void installBuiltins(Sema& s) {
     a.push_back(std::move(args[0].code));
     a.push_back(std::move(args[1].code));
     return ExprRes{Type::voidTy(),
-                   ir::call("writeMatrix", std::move(a), ir::Ty::Void)};
+                   ir::call(ir::Builtin::WriteMatrix, std::move(a))};
   });
   s.defineBuiltin("dimSize", [](Sema& s2, const ast::NodePtr& n,
                                 std::vector<ExprRes> args) -> ExprRes {
@@ -870,7 +870,7 @@ void installBuiltins(Sema& s) {
     std::vector<ir::ExprPtr> a;
     a.push_back(std::move(args[0].code));
     return ExprRes{Type::matrix(rt::Elem::I32, 2),
-                   ir::call("connComp", std::move(a), ir::Ty::Mat)};
+                   ir::call(ir::Builtin::ConnComp, std::move(a))};
   });
   s.defineBuiltin("detectEddies", [](Sema& s2, const ast::NodePtr& n,
                                      std::vector<ExprRes> args) -> ExprRes {
@@ -889,7 +889,7 @@ void installBuiltins(Sema& s) {
       a.push_back(std::move(c.code));
     }
     return ExprRes{Type::matrix(rt::Elem::I32, 2),
-                   ir::call("detectEddies", std::move(a), ir::Ty::Mat)};
+                   ir::call(ir::Builtin::DetectEddies, std::move(a))};
   });
   s.defineBuiltin("synthSsh", [](Sema& s2, const ast::NodePtr& n,
                                  std::vector<ExprRes> args) -> ExprRes {
@@ -905,7 +905,7 @@ void installBuiltins(Sema& s) {
       a.push_back(std::move(c.code));
     }
     return ExprRes{Type::matrix(rt::Elem::F32, 3),
-                   ir::call("synthSsh", std::move(a), ir::Ty::Mat)};
+                   ir::call(ir::Builtin::SynthSsh, std::move(a))};
   });
   auto scalarMinMax = [](ir::ArithOp op, const char* nm) {
     return [op, nm](Sema& s2, const ast::NodePtr& n,
@@ -948,7 +948,7 @@ void installBuiltins(Sema& s) {
     std::vector<ir::ExprPtr> a;
     a.push_back(std::move(args[0].code));
     return ExprRes{Type::voidTy(),
-                   ir::call("printShape", std::move(a), ir::Ty::Void)};
+                   ir::call(ir::Builtin::PrintShape, std::move(a))};
   });
 }
 
@@ -1013,7 +1013,7 @@ void installMatrixSemantics(Sema& s) {
       if (e.bad()) return ExprRes::error();
       args.push_back(std::move(e.code));
     }
-    return ExprRes{t, ir::call("initMatrix", std::move(args), ir::Ty::Mat)};
+    return ExprRes{t, ir::call(ir::Builtin::InitMatrix, std::move(args))};
   }, kExt);
   s.defineExpr("prim_end", [](Sema& s2, const ast::NodePtr& n) {
     const Sema::IndexCtx* ctx = s2.currentIndexCtx();

@@ -55,7 +55,7 @@ void installRefcountSemantics(Sema& s) {
     args.push_back(ir::constI(static_cast<int32_t>(e)));
     args.push_back(std::move(len.code));
     return ExprRes{Type::refptr(e),
-                   ir::call("initMatrix", std::move(args), ir::Ty::Mat)};
+                   ir::call(ir::Builtin::InitMatrix, std::move(args))};
   }, "refcount");
 
   s.defineExpr("prim_rccount", [](Sema& s2, const ast::NodePtr& n) {
@@ -69,11 +69,11 @@ void installRefcountSemantics(Sema& s) {
     std::vector<ir::ExprPtr> args;
     args.push_back(std::move(p.code));
     return ExprRes{Type::intTy(),
-                   ir::call("refCount", std::move(args), ir::Ty::I32)};
+                   ir::call(ir::Builtin::RefCount, std::move(args))};
   }, "refcount");
 
   s.defineExpr("prim_rclive", [](Sema&, const ast::NodePtr&) {
-    return ExprRes{Type::intTy(), ir::call("rcLive", {}, ir::Ty::I32)};
+    return ExprRes{Type::intTy(), ir::call(ir::Builtin::RcLive, {})};
   }, "refcount");
 
   // Indexing of refptr buffers: when the matrix extension is composed its

@@ -884,106 +884,101 @@ private:
   // ---- builtins ---------------------------------------------------------
   Value evalCall(const Expr& e) {
     auto arg = [&](size_t i) { return eval(*e.args[i]); };
-    const std::string& c = e.s;
-
-    if (c == "readMatrix") return rt::readMatrixFile(asS(arg(0)));
-    if (c == "writeMatrix") {
-      Value path = arg(0);
-      rt::writeMatrixFile(asS(path), asM(arg(1)));
-      return {};
+    switch (e.builtin) {
+      case ir::Builtin::ReadMatrix: return rt::readMatrixFile(asS(arg(0)));
+      case ir::Builtin::WriteMatrix: {
+        Value path = arg(0);
+        rt::writeMatrixFile(asS(path), asM(arg(1)));
+        return {};
+      }
+      case ir::Builtin::InitMatrix: {
+        // initMatrix(elemKind, dims...)
+        auto kind = static_cast<rt::Elem>(asI(arg(0)));
+        std::vector<int64_t> dims;
+        for (size_t i = 1; i < e.args.size(); ++i) dims.push_back(asI(arg(i)));
+        // Results the shape analysis proved fully written (every cell
+        // stored before any read) skip the zeroing pass: first touch then
+        // happens on the threads that compute the cells. Everything else
+        // zeroes with parallel first-touch when large enough.
+        if (m_.guardPlan_ && m_.guardPlan_->fullyWritten.count(&e))
+          return Matrix::uninit(kind, dims);
+        return Matrix::zeros(kind, dims, m_.exec_);
+      }
+      case ir::Builtin::CloneMatrix: return asM(arg(0)).clone();
+      case ir::Builtin::ConnComp: return rt::connectedComponents(asM(arg(0)));
+      case ir::Builtin::DetectEddies:
+        return rt::detectEddies2D(asM(arg(0)), asF(arg(1)), asF(arg(2)),
+                                  asF(arg(3)), asI(arg(4)), asI(arg(5)));
+      case ir::Builtin::SynthSsh: {
+        rt::SshParams p;
+        p.nlat = asI(arg(0));
+        p.nlon = asI(arg(1));
+        p.ntime = asI(arg(2));
+        p.seed = static_cast<uint64_t>(asI(arg(3)));
+        p.numEddies = asI(arg(4));
+        return rt::synthesizeSsh(p);
+      }
+      case ir::Builtin::CheckGenBounds: {
+        int32_t hi = asI(arg(0));
+        int32_t dim = asI(arg(1));
+        if (!skipGuard(&e) && hi > dim)
+          fail("genarray: generator upper bound " + std::to_string(hi) +
+               " exceeds result dimension " + std::to_string(dim) +
+               " (the shape must be a superset of the generator)");
+        return {};
+      }
+      case ir::Builtin::CheckMatrixMeta: {
+        Matrix m = asM(arg(0));
+        auto wantElem = static_cast<rt::Elem>(asI(arg(1)));
+        auto wantRank = static_cast<uint32_t>(asI(arg(2)));
+        if (!skipGuard(&e) && (m.elem() != wantElem || m.rank() != wantRank))
+          fail("matrix metadata mismatch: value is " + m.shapeString() +
+               " but the declared type expects " +
+               std::string(rt::elemName(wantElem)) + " rank " +
+               std::to_string(wantRank));
+        return m;
+      }
+      case ir::Builtin::MatToFloat: {
+        Matrix m = asM(arg(0));
+        if (m.elem() == rt::Elem::F32) return m;
+        if (m.elem() != rt::Elem::I32) fail("matToFloat: int matrix required");
+        Matrix out = Matrix::zeros(rt::Elem::F32, m.dims());
+        const int32_t* src = m.i32();
+        float* dst = out.f32();
+        for (int64_t i = 0; i < m.size(); ++i)
+          dst[i] = static_cast<float>(src[i]);
+        return out;
+      }
+      case ir::Builtin::NumThreads:
+        return static_cast<int32_t>(m_.exec_.threads());
+      case ir::Builtin::RefCount: {
+        // The evaluated argument itself holds one reference; report the
+        // count as the program sees it (declared handles only).
+        Value v = arg(0);
+        return asM(v).useCount() - 1;
+      }
+      case ir::Builtin::RcLive:
+        return static_cast<int32_t>(rt::rcLiveBlocks());
+      case ir::Builtin::PrintInt:
+        appendOut(std::to_string(asI(arg(0))) + "\n");
+        return {};
+      case ir::Builtin::PrintFloat: {
+        std::ostringstream o;
+        o << asF(arg(0)) << '\n';
+        appendOut(o.str());
+        return {};
+      }
+      case ir::Builtin::PrintBool:
+        appendOut(asB(arg(0)) ? "true\n" : "false\n");
+        return {};
+      case ir::Builtin::PrintStr:
+        appendOut(asS(arg(0)) + "\n");
+        return {};
+      case ir::Builtin::PrintShape:
+        appendOut(asM(arg(0)).shapeString() + "\n");
+        return {};
     }
-    if (c == "initMatrix") {
-      // initMatrix(elemKind, dims...)
-      auto kind = static_cast<rt::Elem>(asI(arg(0)));
-      std::vector<int64_t> dims;
-      for (size_t i = 1; i < e.args.size(); ++i) dims.push_back(asI(arg(i)));
-      // Results the shape analysis proved fully written (every cell
-      // stored before any read) skip the zeroing pass: first touch then
-      // happens on the threads that compute the cells. Everything else
-      // zeroes with parallel first-touch when large enough.
-      if (m_.guardPlan_ && m_.guardPlan_->fullyWritten.count(&e))
-        return Matrix::uninit(kind, dims);
-      return Matrix::zeros(kind, dims, m_.exec_);
-    }
-    if (c == "cloneMatrix") return asM(arg(0)).clone();
-    if (c == "connComp") return rt::connectedComponents(asM(arg(0)));
-    if (c == "detectEddies")
-      return rt::detectEddies2D(asM(arg(0)), asF(arg(1)), asF(arg(2)),
-                                asF(arg(3)), asI(arg(4)), asI(arg(5)));
-    if (c == "synthSsh") {
-      rt::SshParams p;
-      p.nlat = asI(arg(0));
-      p.nlon = asI(arg(1));
-      p.ntime = asI(arg(2));
-      p.seed = static_cast<uint64_t>(asI(arg(3)));
-      p.numEddies = asI(arg(4));
-      return rt::synthesizeSsh(p);
-    }
-    if (c == "checkGenBounds") {
-      int32_t hi = asI(arg(0));
-      int32_t dim = asI(arg(1));
-      if (!skipGuard(&e) && hi > dim)
-        fail("genarray: generator upper bound " + std::to_string(hi) +
-             " exceeds result dimension " + std::to_string(dim) +
-             " (the shape must be a superset of the generator)");
-      return {};
-    }
-    if (c == "checkMatrixMeta") {
-      Matrix m = asM(arg(0));
-      auto wantElem = static_cast<rt::Elem>(asI(arg(1)));
-      auto wantRank = static_cast<uint32_t>(asI(arg(2)));
-      if (!skipGuard(&e) && (m.elem() != wantElem || m.rank() != wantRank))
-        fail("matrix metadata mismatch: value is " + m.shapeString() +
-             " but the declared type expects " +
-             std::string(rt::elemName(wantElem)) + " rank " +
-             std::to_string(wantRank));
-      return m;
-    }
-    if (c == "rcLive") return static_cast<int32_t>(rt::rcLiveBlocks());
-    if (c == "matToFloat") {
-      Matrix m = asM(arg(0));
-      if (m.elem() == rt::Elem::F32) return m;
-      if (m.elem() != rt::Elem::I32) fail("matToFloat: int matrix required");
-      Matrix out = Matrix::zeros(rt::Elem::F32, m.dims());
-      const int32_t* src = m.i32();
-      float* dst = out.f32();
-      for (int64_t i = 0; i < m.size(); ++i)
-        dst[i] = static_cast<float>(src[i]);
-      return out;
-    }
-    if (c == "numThreads") return static_cast<int32_t>(m_.exec_.threads());
-    if (c == "refCount") {
-      // The evaluated argument itself holds one reference; report the
-      // count as the program sees it (declared handles only).
-      Value v = arg(0);
-      return asM(v).useCount() - 1;
-    }
-    if (c == "sqrtF") return std::sqrt(asF(arg(0)));
-    if (c == "absF") return std::fabs(asF(arg(0)));
-    if (c == "absI") return std::abs(asI(arg(0)));
-    if (c == "printInt") {
-      appendOut(std::to_string(asI(arg(0))) + "\n");
-      return {};
-    }
-    if (c == "printFloat") {
-      std::ostringstream o;
-      o << asF(arg(0)) << '\n';
-      appendOut(o.str());
-      return {};
-    }
-    if (c == "printBool") {
-      appendOut(asB(arg(0)) ? "true\n" : "false\n");
-      return {};
-    }
-    if (c == "printStr") {
-      appendOut(asS(arg(0)) + "\n");
-      return {};
-    }
-    if (c == "printShape") {
-      appendOut(asM(arg(0)).shapeString() + "\n");
-      return {};
-    }
-    fail("unknown builtin '" + c + "'");
+    return {};
   }
 
   void appendOut(const std::string& s) {

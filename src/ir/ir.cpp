@@ -1,5 +1,6 @@
 #include "ir/ir.hpp"
 
+#include <iterator>
 #include <sstream>
 
 namespace mmx::ir {
@@ -43,6 +44,43 @@ const char* cmpName(CmpKind op) {
 }
 
 namespace {
+constexpr BuiltinInfo kBuiltins[] = {
+    {.name = "readMatrix", .ret = Ty::Mat, .returnsFresh = true,
+     .borrowsArgs = true},
+    {.name = "writeMatrix", .ret = Ty::Void, .io = true, .borrowsArgs = true},
+    {.name = "initMatrix", .ret = Ty::Mat, .returnsFresh = true,
+     .borrowsArgs = true},
+    {.name = "cloneMatrix", .ret = Ty::Mat, .returnsFresh = true,
+     .borrowsArgs = true},
+    {.name = "connComp", .ret = Ty::Mat, .returnsFresh = true,
+     .borrowsArgs = true},
+    {.name = "detectEddies", .ret = Ty::Mat, .returnsFresh = true,
+     .borrowsArgs = true},
+    {.name = "synthSsh", .ret = Ty::Mat, .returnsFresh = true,
+     .borrowsArgs = true},
+    {.name = "checkGenBounds", .ret = Ty::Void, .metaOnly = true,
+     .borrowsArgs = true},
+    {.name = "checkMatrixMeta", .ret = Ty::Mat, .metaOnly = true,
+     .aliasArg0 = true, .borrowsArgs = true},
+    // May return its argument's buffer unchanged when it is already float:
+    // neither fresh nor borrowing to uniqueness, while parsafe and depend
+    // read the result as a new matrix.
+    {.name = "matToFloat", .ret = Ty::Mat},
+    {.name = "numThreads", .ret = Ty::I32, .borrowsArgs = true},
+    {.name = "refCount", .ret = Ty::I32, .io = true, .metaOnly = true,
+     .observesRefcount = true},
+    {.name = "rcLive", .ret = Ty::I32, .io = true, .metaOnly = true,
+     .observesRefcount = true},
+    {.name = "printInt", .ret = Ty::Void, .io = true, .borrowsArgs = true},
+    {.name = "printFloat", .ret = Ty::Void, .io = true, .borrowsArgs = true},
+    {.name = "printBool", .ret = Ty::Void, .io = true, .borrowsArgs = true},
+    {.name = "printStr", .ret = Ty::Void, .io = true, .borrowsArgs = true},
+    {.name = "printShape", .ret = Ty::Void, .io = true, .metaOnly = true,
+     .borrowsArgs = true},
+};
+static_assert(std::size(kBuiltins) ==
+              static_cast<size_t>(Builtin::PrintShape) + 1);
+
 ExprPtr mk(Expr::K k, Ty ty) {
   auto e = std::make_unique<Expr>();
   e->k = k;
@@ -50,6 +88,10 @@ ExprPtr mk(Expr::K k, Ty ty) {
   return e;
 }
 } // namespace
+
+const BuiltinInfo& builtinInfo(Builtin b) {
+  return kBuiltins[static_cast<size_t>(b)];
+}
 
 ExprPtr constI(int32_t v) {
   auto e = mk(Expr::K::ConstI, Ty::I32);
@@ -112,9 +154,9 @@ ExprPtr cast(Ty to, ExprPtr a) {
   e->args.push_back(std::move(a));
   return e;
 }
-ExprPtr call(std::string callee, std::vector<ExprPtr> args, Ty ty) {
-  auto e = mk(Expr::K::Call, ty);
-  e->s = std::move(callee);
+ExprPtr call(Builtin b, std::vector<ExprPtr> args) {
+  auto e = mk(Expr::K::Call, builtinInfo(b).ret);
+  e->builtin = b;
   e->args = std::move(args);
   return e;
 }
@@ -150,6 +192,7 @@ ExprPtr cloneExpr(const Expr& e) {
   n->aop = e.aop;
   n->cop = e.cop;
   n->lop = e.lop;
+  n->builtin = e.builtin;
   for (const auto& a : e.args) n->args.push_back(cloneExpr(*a));
   for (const auto& d : e.dims) n->dims.push_back(cloneDim(d));
   return n;
@@ -319,7 +362,7 @@ private:
         s << '(' << tyName(e.ty) << ")(" << expr(*e.args[0]) << ')';
         break;
       case Expr::K::Call: {
-        s << e.s << '(';
+        s << builtinInfo(e.builtin).name << '(';
         for (size_t i = 0; i < e.args.size(); ++i)
           s << (i ? ", " : "") << expr(*e.args[i]);
         s << ')';

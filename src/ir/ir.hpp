@@ -32,6 +32,31 @@ enum class LogicOp : uint8_t { And, Or };
 const char* arithName(ArithOp);
 const char* cmpName(CmpKind);
 
+/// The builtins an `Expr::Call` names. Every front end lowers calls to user
+/// functions to `Stmt::CallAssign`, so a Call is always one of these, and
+/// both backends implement each of them.
+enum class Builtin : uint8_t {
+  ReadMatrix, WriteMatrix, InitMatrix, CloneMatrix, ConnComp, DetectEddies,
+  SynthSsh, CheckGenBounds, CheckMatrixMeta, MatToFloat, NumThreads,
+  RefCount, RcLive, PrintInt, PrintFloat, PrintBool, PrintStr, PrintShape,
+};
+
+/// What the analyses know about a builtin: one row per `Builtin`.
+struct BuiltinInfo {
+  const char* name;        // spelling in `--emit-ir` and diagnostics
+  Ty ret;                  // result type
+  bool io = false;         // observable side effect, or mutable runtime state
+  bool metaOnly = false;   // reads matrix metadata (shape) only, not elements
+  bool aliasArg0 = false;  // returns its first argument's handle
+  /// The Mat result is a buffer no other handle references (uniqueness).
+  bool returnsFresh = false;
+  /// Keeps no reference to its Mat arguments (uniqueness).
+  bool borrowsArgs = false;
+  bool observesRefcount = false; // result depends on reference counts
+};
+
+const BuiltinInfo& builtinInfo(Builtin);
+
 struct Expr;
 using ExprPtr = std::unique_ptr<Expr>;
 
@@ -54,7 +79,7 @@ struct Expr {
     Not,        // !args[0]
     Neg,        // -args[0]
     Cast,       // (ty) args[0]  (i32 <-> f32)
-    Call,       // builtin: callee(args...) — see interp/builtins
+    Call,       // builtin(args...); see BuiltinInfo
     Index,      // args[0] = matrix; dims = per-dimension selectors
     RangeLit,   // (a :: b) inclusive 1-D i32 matrix; args[0..1]
     DimSize,    // dimSize(args[0], args[1])
@@ -66,10 +91,11 @@ struct Expr {
   int32_t slot = -1;      // Var
   int32_t i = 0;          // ConstI / ConstB(0|1)
   float f = 0.f;          // ConstF
-  std::string s;          // ConstS / Call callee
+  std::string s;          // ConstS
   ArithOp aop{};
   CmpKind cop{};
   LogicOp lop{};
+  Builtin builtin{};      // Call
   std::vector<ExprPtr> args;
   std::vector<IndexDim> dims; // Index
 };
@@ -85,7 +111,7 @@ ExprPtr logic(LogicOp op, ExprPtr a, ExprPtr b);
 ExprPtr notE(ExprPtr a);
 ExprPtr negE(ExprPtr a, Ty ty);
 ExprPtr cast(Ty to, ExprPtr a);
-ExprPtr call(std::string callee, std::vector<ExprPtr> args, Ty ty);
+ExprPtr call(Builtin b, std::vector<ExprPtr> args);
 ExprPtr loadFlat(ExprPtr mat, ExprPtr flat, Ty elemTy);
 ExprPtr dimSize(ExprPtr mat, ExprPtr d);
 

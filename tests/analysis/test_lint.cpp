@@ -146,14 +146,14 @@ TEST(Lint, TempsEffectfulStoresAndMatrixRebindsAreExempt) {
   // Effectful RHS: the store is dead but the call must run.
   std::vector<ir::ExprPtr> args;
   body.push_back(ir::assign(
-      1, ir::call("numThreads", std::move(args), ir::Ty::I32)));
+      1, ir::call(ir::Builtin::NumThreads, std::move(args))));
   // Matrix rebind: handle assignments manage buffers, never reported.
   body.push_back(ir::assign(
-      2, ir::call("initMatrix", [] {
+      2, ir::call(ir::Builtin::InitMatrix, [] {
         std::vector<ir::ExprPtr> a;
         a.push_back(ir::constI(2));
         return a;
-      }(), ir::Ty::Mat)));
+      }())));
   body.push_back(ir::ret({ }));
   f->body = ir::block(std::move(body));
   EXPECT_EQ(lintOne(*f), "");

@@ -21,7 +21,7 @@ ir::ExprPtr alloc() {
   std::vector<ir::ExprPtr> args;
   args.push_back(ir::constI(4));
   args.push_back(ir::constI(4));
-  return ir::call("initMatrix", std::move(args), ir::Ty::Mat);
+  return ir::call(ir::Builtin::InitMatrix, std::move(args));
 }
 
 ir::ExprPtr loadM(int32_t matSlot) {

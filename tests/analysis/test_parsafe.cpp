@@ -216,7 +216,7 @@ TEST(ParSafe, SummariesSeeIOAndParamWritesThroughCalls) {
   {
     std::vector<ir::StmtPtr> b;
     b.push_back(ir::callStmt(
-        ir::call("printInt", vecOf(ir::constI(1)), ir::Ty::Void)));
+        ir::call(ir::Builtin::PrintInt, vecOf(ir::constI(1)))));
     b.push_back(ir::ret({}));
     noisy->body = ir::block(std::move(b));
   }
@@ -233,8 +233,7 @@ TEST(ParSafe, SummariesSeeIOAndParamWritesThroughCalls) {
   ir::Function* f = scaffold(m);
   std::vector<ir::StmtPtr> body;
   body.push_back(parLoop(
-      ir::callStmt(ir::call("writer", vecOf(ir::var(0, ir::Ty::Mat)),
-                            ir::Ty::Void)),
+      ir::callAssign({}, "writer", vecOf(ir::var(0, ir::Ty::Mat))),
       ir::Stmt::Par::Auto));
   f->body = ir::block(std::move(body));
   ParSafe ps(m);

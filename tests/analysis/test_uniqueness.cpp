@@ -27,7 +27,7 @@ ir::ExprPtr alloc() {
   std::vector<ir::ExprPtr> args;
   args.push_back(ir::constI(4));
   args.push_back(ir::constI(4));
-  return ir::call("initMatrix", std::move(args), ir::Ty::Mat);
+  return ir::call(ir::Builtin::InitMatrix, std::move(args));
 }
 
 ir::ExprPtr loadM(int32_t matSlot) {
@@ -109,7 +109,7 @@ TEST(Uniqueness, RefcountObservationPoisonsTheBuffer) {
     std::vector<ir::ExprPtr> args;
     args.push_back(mv(0));
     body.push_back(
-        ir::assign(1, ir::call("refCount", std::move(args), ir::Ty::I32)));
+        ir::assign(1, ir::call(ir::Builtin::RefCount, std::move(args))));
   }
   const ir::Stmt* s2 = body[1].get();
   f->body = ir::block(std::move(body));

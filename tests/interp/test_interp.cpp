@@ -226,7 +226,7 @@ void buildParFill(Module& m, bool parallel) {
   std::vector<ExprPtr> zargs;
   zargs.push_back(constI(0)); // Elem::I32
   zargs.push_back(var(0, Ty::I32));
-  body.push_back(assign(out, call("initMatrix", std::move(zargs), Ty::Mat)));
+  body.push_back(assign(out, call(Builtin::InitMatrix, std::move(zargs))));
   StmtPtr store = storeFlat(
       out, var(i, Ty::I32),
       arith(ArithOp::Mul, var(i, Ty::I32), constI(2), Ty::I32));
@@ -263,7 +263,7 @@ TEST(Interp, ParallelLoopErrorsPropagate) {
   std::vector<ExprPtr> zargs;
   zargs.push_back(constI(0));
   zargs.push_back(constI(4)); // only 4 elements
-  body.push_back(assign(out, call("initMatrix", std::move(zargs), Ty::Mat)));
+  body.push_back(assign(out, call(Builtin::InitMatrix, std::move(zargs))));
   StmtPtr loop = forLoop(i, constI(0), constI(100),
                          storeFlat(out, var(i, Ty::I32), constI(1)), "i");
   loop->parallel = true;
@@ -295,7 +295,7 @@ void buildVecSum(Module& m, int vecWidth) {
   std::vector<ExprPtr> zargs;
   zargs.push_back(constI(1)); // Elem::F32
   zargs.push_back(var(n, Ty::I32));
-  body.push_back(assign(out, call("initMatrix", std::move(zargs), Ty::Mat)));
+  body.push_back(assign(out, call(Builtin::InitMatrix, std::move(zargs))));
 
   // inner: sum = sum + mat[j*p + k]
   StmtPtr inner = assign(
@@ -386,12 +386,12 @@ TEST(Interp, BuiltinsPrintAndThreads) {
   std::vector<StmtPtr> body;
   std::vector<ExprPtr> p1;
   p1.push_back(constI(7));
-  body.push_back(callStmt(call("printInt", std::move(p1), Ty::Void)));
+  body.push_back(callStmt(call(Builtin::PrintInt, std::move(p1))));
   std::vector<ExprPtr> p2;
   p2.push_back(constS("hello"));
-  body.push_back(callStmt(call("printStr", std::move(p2), Ty::Void)));
+  body.push_back(callStmt(call(Builtin::PrintStr, std::move(p2))));
   std::vector<ExprPtr> rv;
-  rv.push_back(call("numThreads", {}, Ty::I32));
+  rv.push_back(call(Builtin::NumThreads, {}));
   body.push_back(ret(std::move(rv)));
   f->body = block(std::move(body));
   rt::ForkJoinPool pool(3);
@@ -408,7 +408,7 @@ TEST(Interp, GenarrayBoundsBuiltinEnforcesSuperset) {
   std::vector<ExprPtr> args;
   args.push_back(constI(10)); // generator upper bound
   args.push_back(constI(5));  // result dimension
-  body.push_back(callStmt(call("checkGenBounds", std::move(args), Ty::Void)));
+  body.push_back(callStmt(call(Builtin::CheckGenBounds, std::move(args))));
   f->body = block(std::move(body));
   rt::SerialExecutor ex;
   Machine vm(m, ex);
