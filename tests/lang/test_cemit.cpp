@@ -683,5 +683,149 @@ int main() {
   EXPECT_EQ(compileAndRun(c, "refcount"), runOk(src));
 }
 
+// ---- parallel loop bodies ---------------------------------------------
+
+/// Fig. 8 over a field read from `in`: matrixMap(scoreTS) builds slices and
+/// per-call temporaries inside the emitted OpenMP loop.
+std::string fig8Program(const std::string& in) {
+  return R"(
+(Matrix float <1>, int, int) getTrough(Matrix float <1> ts, int i) {
+  int beginning = i;
+  int n = dimSize(ts, 0);
+  while (i + 1 < n && ts[i] >= ts[i + 1]) { i = i + 1; }
+  while (i + 1 < n && ts[i] < ts[i + 1]) { i = i + 1; }
+  return (ts[beginning : i], beginning, i);
+}
+Matrix float <1> computeArea(Matrix float <1> areaOfInterest) {
+  float y1 = areaOfInterest[0];
+  float y2 = areaOfInterest[end];
+  int x2 = dimSize(areaOfInterest, 0) - 1;
+  float slope = 0.0;
+  if (x2 > 0) { slope = (y1 - y2) / ((float)(0 - x2)); }
+  Matrix float <1> Line = (0 :: x2) * slope + y1;
+  float area = with ([0] <= [q] < [dimSize(Line, 0)])
+      fold(+, 0.0, Line[q] - areaOfInterest[q]);
+  return with ([0] <= [q] < [dimSize(Line, 0)])
+      genarray([dimSize(Line, 0)], area);
+}
+Matrix float <1> scoreTS(Matrix float <1> ts) {
+  Matrix float <1> scores = init(Matrix float <1>, dimSize(ts, 0));
+  int i = 0;
+  int n = dimSize(ts, 0);
+  while (i + 1 < n && ts[i] < ts[i + 1]) { i = i + 1; }
+  Matrix float <1> trough = init(Matrix float <1>, 1);
+  int beginning = 0;
+  while (i < n - 1) {
+    (trough, beginning, i) = getTrough(ts, i);
+    if (i <= beginning) { return scores; }
+    scores[beginning : i] = computeArea(trough);
+  }
+  return scores;
+}
+int main() {
+  Matrix float <3> data = readMatrix(")" +
+         in + R"(");
+  Matrix float <3> scores = matrixMap(scoreTS, data, [2]);
+  int a = dimSize(scores, 0);
+  int b = dimSize(scores, 1);
+  int c = dimSize(scores, 2);
+  printFloat(with ([0,0,0] <= [x,y,z] < [a,b,c]) fold(+, 0.0, scores[x,y,z]));
+  return 0;
+})";
+}
+
+/// Fig. 1's temporal mean over a field read from `in`, folded to a checksum.
+std::string temporalMeanProgram(const std::string& in) {
+  return R"(
+int main() {
+  Matrix float <3> mat = readMatrix(")" +
+         in + R"(");
+  int m = dimSize(mat, 0);
+  int n = dimSize(mat, 1);
+  int p = dimSize(mat, 2);
+  Matrix float <2> means = init(Matrix float <2>, m, n);
+  means = with ([0,0] <= [i,j] < [m,n])
+    genarray([m,n], (with ([0] <= [k] < [p]) fold(+, 0.0, mat[i,j,k])) / p);
+  printFloat(with ([0,0] <= [x,y] < [m,n]) fold(+, 0.0, means[x,y]));
+  return 0;
+})";
+}
+
+/// Emits `src` the way mmc does (guard plan included), compiles it once,
+/// and runs it 10 times at OMP_NUM_THREADS=1,4,8 under each allocator,
+/// expecting the 1-thread -O0 interpreter's output every time.
+void expectEmittedAgreesEverywhere(const std::string& src,
+                                   driver::TranslateOptions opts,
+                                   const std::string& tag) {
+  std::string want = runOk(src);
+  ASSERT_FALSE(want.empty());
+  auto res = translateXc(src, opts);
+  ASSERT_TRUE(res.ok) << res.renderDiagnostics();
+  ir::CEmitOptions co;
+  co.boundsChecks = res.boundsChecks;
+  co.plan = res.guardPlan;
+  auto c = ir::emitC(*res.module, co);
+  ASSERT_TRUE(c.ok) << (c.errors.empty() ? "" : c.errors.front());
+  std::string base = std::string(::testing::TempDir()) + "cemit_" + tag;
+  std::ofstream(base + ".c") << c.code;
+  ASSERT_EQ(std::system(("cc -O2 -std=gnu99 -msse4.2 -fopenmp " + base +
+                         ".c -o " + base + ".bin -lm 2>" + base + ".err")
+                            .c_str()),
+            0)
+      << slurpFile(base + ".err");
+  for (const char* threads : {"1", "4", "8"})
+    for (const char* alloc : {"system", "cache", "arena"})
+      for (int run = 0; run < 10; ++run) {
+        int rc = std::system((std::string("OMP_NUM_THREADS=") + threads +
+                              " MMX_ALLOC=" + alloc + " " + base + ".bin >" +
+                              base + ".out 2>" + base + ".err")
+                                 .c_str());
+        std::string out = slurpFile(base + ".out");
+        if (rc != 0 || out != want) {
+          ADD_FAILURE() << threads << " threads, " << alloc << ", run "
+                        << run << ": exit " << rc << ", printed '" << out
+                        << "', want '" << want << "'\n"
+                        << slurpFile(base + ".err");
+          break;
+        }
+      }
+  for (const char* ext : {".c", ".bin", ".out", ".err"})
+    std::remove((base + ext).c_str());
+}
+
+TEST(CEmit, Fig8ParallelTemporariesArePerIteration) {
+  // matrixMap's OpenMP body creates matrix temporaries; one shared across
+  // threads crashed, or printed a wrong checksum, at 4 threads.
+  TempPath in("cemit_fig8_in.mmx");
+  rt::SshParams p;
+  p.nlat = 8;
+  p.nlon = 16;
+  p.ntime = 48;
+  p.seed = 3;
+  rt::writeMatrixFile(in.path, rt::synthesizeSsh(p));
+  std::string src = fig8Program(in.path);
+  driver::TranslateOptions o1;
+  o1.optFuse = o1.optElimTemp = o1.optInplace = o1.optAutopar = true;
+  expectEmittedAgreesEverywhere(src, {}, "fig8_o0");
+  expectEmittedAgreesEverywhere(src, o1, "fig8_o1");
+}
+
+TEST(CEmit, MaterializedSliceTemporariesArePerIteration) {
+  // Without slice elimination each fold materializes mat[i,j,:] inside
+  // the parallel genarray body; a shared temporary segfaulted under the
+  // cache allocator.
+  TempPath in("cemit_tmean_in.mmx");
+  rt::SshParams p;
+  p.nlat = 16;
+  p.nlon = 24;
+  p.ntime = 32;
+  p.seed = 5;
+  rt::writeMatrixFile(in.path, rt::synthesizeSsh(p));
+  driver::TranslateOptions noSliceElim;
+  noSliceElim.sliceElimination = false;
+  expectEmittedAgreesEverywhere(temporalMeanProgram(in.path), noSliceElim,
+                                "tmean_noslice");
+}
+
 } // namespace
 } // namespace mmx::test

@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "ir/cemit.hpp"
+#include "runtime/matio.hpp"
 #include "xc_helper.hpp"
 
 namespace mmx::test {
@@ -202,6 +203,51 @@ TEST(Optimize, EmittedCAgreesAcrossOptLevels) {
     if (src != kAliasObserved)
       EXPECT_EQ(at1, runOk(src, 1, o0())) << src;
   }
+}
+
+TEST(Optimize, AutoparBlocksLoopThatRebindsAMatrixHandle) {
+  // `c = a * b` rebinds c in every iteration and c is read after the loop,
+  // so autopar must leave the `rep` loop serial: a parallel schedule
+  // dropped the last iteration's handle and the program printed 0.
+  std::string dir = ::testing::TempDir();
+  std::string aPath = dir + "opt_rep_a.mmx", bPath = dir + "opt_rep_b.mmx";
+  const int n = 12;
+  std::vector<float> av(n * n), bv(n * n);
+  for (int i = 0; i < n * n; ++i) {
+    av[i] = static_cast<float>(i % 5);
+    bv[i] = static_cast<float>(i % 3 + 1);
+  }
+  rt::writeMatrixFile(aPath, rt::Matrix::fromF32({n, n}, av));
+  rt::writeMatrixFile(bPath, rt::Matrix::fromF32({n, n}, bv));
+  std::string src = R"(
+int main() {
+  Matrix float <2> a = readMatrix(")" + aPath + R"(");
+  Matrix float <2> b = readMatrix(")" + bPath + R"(");
+  int n = dimSize(a, 0);
+  Matrix float <2> c = init(Matrix float <2>, n, n);
+  for (int rep = 0; rep < 3; rep++) { c = a * b; }
+  printFloat(with ([0,0] <= [x,y] < [n,n]) fold(+, 0.0, c[x, y]));
+  return 0;
+})";
+  driver::TranslateOptions o1Autopar = o1();
+  o1Autopar.optAutopar = true;
+  std::string base = runOk(src, 1, o0());
+  ASSERT_NE(base, "0\n");
+  EXPECT_EQ(runOk(src, 1, o1Autopar), base);
+  EXPECT_EQ(runOk(src, 4, o1Autopar), base);
+  for (const auto& [opts, tag] : {std::pair{o0(), "rep0"},
+                                  std::pair{o1Autopar, "rep1"}}) {
+    auto res = translateXc(src, opts);
+    ASSERT_TRUE(res.ok) << res.renderDiagnostics();
+    auto c = ir::emitC(*res.module);
+    ASSERT_TRUE(c.ok);
+    EXPECT_EQ(compileAndRun(c.code, tag), base) << tag;
+  }
+  EXPECT_EQ(counterLine(src, o1Autopar),
+            "optimizer: fused=0 temps-eliminated=0 inplace=0 "
+            "alias-blocked=0 autopar-promoted=0 autopar-blocked=3");
+  std::remove(aPath.c_str());
+  std::remove(bPath.c_str());
 }
 
 /// Random with-loop chain generator for the fuzz sweep. Every value stays
