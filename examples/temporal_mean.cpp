@@ -9,6 +9,7 @@
 #include "driver/translator.hpp"
 #include "ext_matrix/matrix_ext.hpp"
 #include "interp/interp.hpp"
+#include "runtime/backend.hpp"
 #include "runtime/kernels.hpp"
 #include "runtime/matio.hpp"
 #include "runtime/ssh_synth.hpp"
@@ -81,8 +82,7 @@ int main(int argc, char** argv) {
   rt::SerialExecutor ser;
   rt::Matrix sums, expect;
   rt::sumInnermost3D(ser, ssh, sums, true);
-  rt::ewBinaryScalarF(ser, rt::BinOp::Div, sums,
-                      static_cast<float>(ntime), expect, true);
+  rt::ew(ser, rt::BinOp::Div, sums, static_cast<float>(ntime), expect, true);
   rt::Matrix got = rt::readMatrixFile(out);
   std::cout << (got.equals(expect, 1e-3f)
                     ? "validation: extended-C means match the native oracle\n"

@@ -67,13 +67,6 @@ struct CompilerInvocation {
     return c;
   }
 
-  /// DEPRECATED (ISSUE 7, kept for one PR): builds the executor without
-  /// applying the backend selection; use runtimeConfig().make().
-  std::unique_ptr<rt::Executor> makeExecutor() const {
-    rt::RuntimeConfig c = runtimeConfig();
-    return rt::makeExecutor(c.executor, c.threads);
-  }
-
   struct ParseResult {
     bool ok = true;
     std::string error; // set when !ok

@@ -166,9 +166,7 @@ struct RuntimeConfig {
 /// The one element-wise binary entry (ISSUE 7): Rhs is a same-shape
 /// Matrix, a float broadcast, or an int32_t broadcast. Routes strips
 /// through activeBackend(); `simd = false` forces the plain scalar loops
-/// (the benches' ablation knob). The historical ewBinary /
-/// ewBinaryScalarF / ewBinaryScalarI wrappers are deprecated shims over
-/// this.
+/// (the benches' ablation knob).
 template <class Rhs>
 void ew(Executor& exec, BinOp op, const Matrix& a, const Rhs& b, Matrix& out,
         bool simd = true);

@@ -134,24 +134,6 @@ template void ew<float>(Executor&, BinOp, const Matrix&, const float&,
 template void ew<int32_t>(Executor&, BinOp, const Matrix&, const int32_t&,
                           Matrix&, bool);
 
-// Deprecated shims (one PR, per ISSUE 7): the historical three-way entry
-// points forward to the templated ew<>.
-
-void ewBinary(Executor& exec, BinOp op, const Matrix& a, const Matrix& b,
-              Matrix& out, bool simd) {
-  ew(exec, op, a, b, out, simd);
-}
-
-void ewBinaryScalarF(Executor& exec, BinOp op, const Matrix& a, float s,
-                     Matrix& out, bool simd) {
-  ew(exec, op, a, s, out, simd);
-}
-
-void ewBinaryScalarI(Executor& exec, BinOp op, const Matrix& a, int32_t s,
-                     Matrix& out, bool simd) {
-  ew(exec, op, a, s, out, simd);
-}
-
 namespace {
 struct CmpCtx {
   CmpOp op;

@@ -18,22 +18,6 @@ enum class BinOp : uint8_t { Add, Sub, Mul, Div, Mod, Min, Max };
 /// Comparisons produce Bool matrices (logical indexing, `ssh < i`).
 enum class CmpOp : uint8_t { Lt, Le, Gt, Ge, Eq, Ne };
 
-// DEPRECATED (ISSUE 7, kept for one PR): the three historical entry
-// points below are thin shims over the templated rt::ew<> in backend.hpp,
-// which routes through the active kernel backend. New callers use
-// rt::ew(exec, op, a, rhs, out[, simd]).
-
-/// out = a (op) b, all same shape/kind. `exec` splits rows across threads;
-/// `simd` selects the active backend's vector strips for f32/i32.
-void ewBinary(Executor& exec, BinOp op, const Matrix& a, const Matrix& b,
-              Matrix& out, bool simd);
-
-/// out = a (op) scalar-broadcast(s).
-void ewBinaryScalarF(Executor& exec, BinOp op, const Matrix& a, float s,
-                     Matrix& out, bool simd);
-void ewBinaryScalarI(Executor& exec, BinOp op, const Matrix& a, int32_t s,
-                     Matrix& out, bool simd);
-
 /// Bool matrix of element-wise comparisons; b broadcast when scalar.
 void ewCompare(Executor& exec, CmpOp op, const Matrix& a, const Matrix& b,
                Matrix& out);

@@ -1,7 +1,7 @@
 // Every shipped example (examples/xc/*.xc) runs on the interpreter the way
-// `mmc <file> -O<n> --threads <t>` runs it, at -O0 and -O1 on 1 and 8
-// threads. Each configuration must exit 0, and all four must print the
-// same stdout.
+// `mmc <file> <opt> --threads <t>` runs it, with -O0, -O1 and
+// --opt=autopar alone, on 1 and 8 threads. Each configuration must exit 0,
+// and all six must print the same stdout.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -81,7 +81,8 @@ TEST_P(Example, InterpAgreesAcrossOptLevelsAndThreads) {
   EXPECT_EQ(base.exitCode, 0) << "-O0 --threads 1: " << base.error;
   EXPECT_FALSE(base.output.empty());
   for (auto [opt, threads] :
-       {std::pair{"-O0", "8"}, {"-O1", "1"}, {"-O1", "8"}}) {
+       {std::pair{"-O0", "8"}, {"-O1", "1"}, {"-O1", "8"},
+        {"--opt=autopar", "1"}, {"--opt=autopar", "8"}}) {
     const Outcome r = runLikeMmc(path, {opt, "--threads", threads});
     EXPECT_EQ(r.exitCode, 0)
         << opt << " --threads " << threads << ": " << r.error;

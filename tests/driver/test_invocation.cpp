@@ -47,16 +47,16 @@ TEST(CompilerInvocation, ThreadsAndExecutorSelection) {
   auto r = parse(inv, {"p.xc", "--threads", "4"});
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(inv.threads, 4u);
-  EXPECT_EQ(inv.makeExecutor()->name(), "forkjoin");
+  EXPECT_EQ(inv.runtimeConfig().make()->name(), "forkjoin");
 
   CompilerInvocation one;
   ASSERT_TRUE(parse(one, {"p.xc"}).ok);
-  EXPECT_EQ(one.makeExecutor()->name(), "serial");
+  EXPECT_EQ(one.runtimeConfig().make()->name(), "serial");
 
   CompilerInvocation naive;
   ASSERT_TRUE(parse(naive, {"p.xc", "--threads", "4", "--executor",
                             "naive"}).ok);
-  EXPECT_EQ(naive.makeExecutor()->name(), "naive");
+  EXPECT_EQ(naive.runtimeConfig().make()->name(), "naive");
 }
 
 TEST(CompilerInvocation, ObservabilityFlags) {

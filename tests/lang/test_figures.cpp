@@ -4,6 +4,7 @@
 // independent C++ oracles in runtime/.
 #include <cstdio>
 
+#include "runtime/backend.hpp"
 #include "runtime/conncomp.hpp"
 #include "runtime/eddy.hpp"
 #include "runtime/kernels.hpp"
@@ -60,7 +61,7 @@ TEST(Fig1, TemporalMeanMatchesOracle) {
   rt::Matrix sums;
   rt::sumInnermost3D(ex, ssh, sums, false);
   rt::Matrix expect;
-  rt::ewBinaryScalarF(ex, rt::BinOp::Div, sums, 9.f, expect, false);
+  rt::ew(ex, rt::BinOp::Div, sums, 9.f, expect, false);
 
   rt::Matrix got = rt::readMatrixFile(out.path);
   EXPECT_TRUE(got.equals(expect, 1e-4f))

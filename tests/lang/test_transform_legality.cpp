@@ -111,6 +111,9 @@ struct FuzzCase {
   const char* name;
   const char* clauses;
 };
+// Printed by name: the default byte dump holds pointers that ASLR moves,
+// which would give the discovered ctest names new bytes on every build.
+void PrintTo(const FuzzCase& c, std::ostream* os) { *os << c.name; }
 
 class LegalityFuzz : public ::testing::TestWithParam<FuzzCase> {};
 

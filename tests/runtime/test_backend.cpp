@@ -324,29 +324,6 @@ TEST(BackendStrips, ReduceBitIdenticalAcrossBackendsOnArbitraryData) {
   }
 }
 
-TEST(BackendShims, DeprecatedWrappersMatchTemplatedEntry) {
-  AutoRestore guard;
-  SerialExecutor ser;
-  Matrix a = noisyF32(6, 7, 3);
-  Matrix b = noisyF32(6, 7, 4);
-  Matrix ai = denseI32(6, 7, 5);
-
-  Matrix viaShim, viaEw;
-  ewBinary(ser, BinOp::Mul, a, b, viaShim, true);
-  ew(ser, BinOp::Mul, a, b, viaEw, true);
-  EXPECT_TRUE(sameBits(viaShim, viaEw));
-
-  Matrix fShim, fEw;
-  ewBinaryScalarF(ser, BinOp::Add, a, 0.5f, fShim, true);
-  ew(ser, BinOp::Add, a, 0.5f, fEw, true);
-  EXPECT_TRUE(sameBits(fShim, fEw));
-
-  Matrix iShim, iEw;
-  ewBinaryScalarI(ser, BinOp::Sub, ai, 9, iShim, true);
-  ew(ser, BinOp::Sub, ai, int32_t{9}, iEw, true);
-  EXPECT_TRUE(sameBits(iShim, iEw));
-}
-
 TEST(BackendMetrics, SelectionAndPerBackendMatmulCounters) {
   AutoRestore guard;
   metrics::enable(true);
