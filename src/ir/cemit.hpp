@@ -3,7 +3,9 @@
 // ordinary C compiler. Parallel loops become `#pragma omp parallel for`
 // with explicit privatization (Fig. 11); vectorized loops become SSE
 // intrinsics over 4 x f32 / 4 x i32 lanes; matrices are refcounted structs
-// managed by an emitted prelude (the §III-B cells, rendered in C).
+// managed by an emitted prelude (the §III-B cells, rendered in C). The
+// prelude is one fixed text for every program; only the #define pins in
+// front of it and --instrument vary per program.
 //
 // Builtin coverage: everything a file-driven program needs (readMatrix /
 // writeMatrix / initMatrix / dimSize / print* / checkGenBounds /
@@ -28,12 +30,14 @@ struct CEmitResult {
   std::vector<std::string> errors;  // unsupported constructs
 };
 
-/// Bounds-check emission policy (ISSUE 3). `On` emits every runtime guard
-/// (the historical output, byte-for-byte). `Off` lowers every guarded
-/// operation to its unchecked form. `Auto` consults the shapecheck
-/// GuardPlan: sites the analysis proved safe use the unchecked form,
-/// everything else keeps its guard. Under Auto the plan's borrowed
-/// parameters also drop their per-call retain/release pair.
+/// Bounds-check emission policy (ISSUE 3). Each guarded runtime helper
+/// takes a trailing check flag. `On` passes 1 everywhere. `Off` passes 0
+/// and inlines the unguarded form of dimSize and flat loads and stores.
+/// `Auto` consults the shapecheck GuardPlan: sites the analysis proved
+/// safe are emitted as under Off, everything else keeps its guard. Under
+/// Auto the plan's borrowed parameters also drop their per-call
+/// retain/release pair, and proven fully-written genarray results skip
+/// zeroing their elements (mmx_allocv_u).
 /// Runtime instrumentation compiled into the translated program (ISSUE 5).
 /// `Off` strips every mmx_prof hook line from the prelude, so the output
 /// is byte-identical to the uninstrumented emitter. `Counters` plants the
@@ -60,15 +64,14 @@ struct CEmitOptions {
   /// mmx_backend_select() before xc_main(); see DESIGN.md "Kernel backend
   /// registry" for the prelude hook ABI.
   std::string backend = "auto";
-  /// Matrix allocator compiled into the program (ISSUE 9). "system" emits
-  /// the historical calloc/free prelude byte-for-byte — the compatibility
-  /// pin. Any other value splices the mmx_ms_* thread-caching runtime into
-  /// the prelude: "auto" (the default) consults $MMX_ALLOC at startup and
-  /// otherwise uses the cache strategy; an explicit name is baked in as
-  /// MMX_ALLOC_DEFAULT. The mmx_ms_* policy constants mirror
-  /// src/runtime/memsys.cpp verbatim (see its header comment) so the
-  /// rt.alloc.cache.* counters match the interpreter exactly on
-  /// single-threaded runs.
+  /// Matrix allocator compiled into the program (ISSUE 9). Every program
+  /// carries the prelude's mmx_ms_* allocator with all three strategies:
+  /// "auto" (the default) consults $MMX_ALLOC at startup and otherwise
+  /// uses the cache strategy; an explicit name is baked in as
+  /// MMX_ALLOC_DEFAULT, the only difference in the output. The mmx_ms_*
+  /// policy constants mirror src/runtime/memsys.cpp verbatim (see its
+  /// header comment) so the rt.alloc.cache.* counters match the
+  /// interpreter exactly on single-threaded runs.
   std::string alloc = "auto";
 };
 

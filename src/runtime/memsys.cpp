@@ -13,7 +13,7 @@
 //     frees migrate blocks between threads through the depot.
 //   - All policy constants (magazine capacity, depot capacity, flush
 //     half-emptying) are mirrored verbatim by the emitted-C mmx_ms_*
-//     runtime in cemit.cpp: single-threaded runs of the same program must
+//     runtime in cemit_prelude.inc: single-threaded runs of the same program must
 //     produce byte-equal hits/misses/flushes counters in both backends.
 //     Touch one side only in lockstep with the other.
 //   - In sanitizer builds freed payloads are poisoned with 0xDD so stale

@@ -22,7 +22,7 @@
 // setRcAllocHooks installations bypass this subsystem entirely.
 //
 // The same allocator is translated into the cemit prelude (mmx_ms_* in
-// cemit.cpp), with identical size-class math and magazine/depot policy so
+// src/ir/cemit_prelude.inc), with identical size-class math and magazine/depot policy so
 // the rt.alloc.cache.{hits,misses,flushes} counters match the interpreter
 // exactly on single-threaded runs of the same program.
 #pragma once

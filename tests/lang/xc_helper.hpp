@@ -93,6 +93,17 @@ inline std::string runOk(const std::string& src, unsigned threads = 1,
   return o.output;
 }
 
+/// The part of an emitted C file that the emitter generated for the
+/// program: everything after the fixed runtime prelude. Assertions about
+/// generated code search here, since the prelude contains every helper.
+inline std::string emittedProgram(const std::string& c) {
+  const std::string marker = "/* ---- forward declarations ---- */";
+  size_t pos = c.find(marker);
+  EXPECT_NE(pos, std::string::npos) << "no forward-declarations marker";
+  return pos == std::string::npos ? std::string()
+                                  : c.substr(pos + marker.size());
+}
+
 /// Expects a translation-time error mentioning `needle`.
 inline void expectError(const std::string& src, const std::string& needle) {
   auto res = translateXc(src);
