@@ -1,7 +1,7 @@
 // Every shipped example (examples/xc/*.xc) runs on the interpreter the way
-// `mmc <file> <opt> --threads <t>` runs it, with -O0, -O1 and
-// --opt=autopar alone, on 1 and 8 threads. Each configuration must exit 0,
-// and all six must print the same stdout.
+// `mmc <file> <flag> --threads <t>` runs it, with -O0, -O1, --opt=autopar
+// alone and each --alloc strategy, on 1 and 8 threads. Each configuration
+// must exit 0, and all of them must print the same stdout.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -80,13 +80,16 @@ TEST_P(Example, InterpAgreesAcrossOptLevelsAndThreads) {
   const Outcome base = runLikeMmc(path, {"-O0", "--threads", "1"});
   EXPECT_EQ(base.exitCode, 0) << "-O0 --threads 1: " << base.error;
   EXPECT_FALSE(base.output.empty());
-  for (auto [opt, threads] :
-       {std::pair{"-O0", "8"}, {"-O1", "1"}, {"-O1", "8"},
-        {"--opt=autopar", "1"}, {"--opt=autopar", "8"}}) {
-    const Outcome r = runLikeMmc(path, {opt, "--threads", threads});
-    EXPECT_EQ(r.exitCode, 0)
-        << opt << " --threads " << threads << ": " << r.error;
-    EXPECT_EQ(r.output, base.output) << opt << " --threads " << threads;
+  // runtimeConfig().make() applies --alloc process-wide, so each run
+  // allocates from the strategy it names (and "auto" re-arms the default).
+  for (const char* flag : {"-O0", "-O1", "--opt=autopar", "--alloc=system",
+                           "--alloc=cache", "--alloc=arena"}) {
+    for (const char* threads : {"1", "8"}) {
+      const Outcome r = runLikeMmc(path, {flag, "--threads", threads});
+      EXPECT_EQ(r.exitCode, 0)
+          << flag << " --threads " << threads << ": " << r.error;
+      EXPECT_EQ(r.output, base.output) << flag << " --threads " << threads;
+    }
   }
 }
 
