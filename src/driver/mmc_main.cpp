@@ -185,7 +185,7 @@ int main(int argc, char** argv) {
   // error with its own exit code (2, like usage/backend problems) so CI
   // can distinguish "clause proven illegal" from ordinary translation
   // failures.
-  auto strictTransformFailure = [&res, &inv] {
+  auto strictTransformFailure = [&res] {
     if (!inv.opts.strictTransform) return false;
     for (const auto& d : res.diagnostics)
       if (d.severity == mmx::Severity::Error && d.extension == "transform")

@@ -200,8 +200,9 @@ TEST(Optimize, EmittedCAgreesAcrossOptLevels) {
     std::string at0 = compileAndRun(emit(o0()), "c0agree_" + tag);
     std::string at1 = compileAndRun(emit(o1()), "c1agree_" + tag);
     EXPECT_EQ(at1, at0) << src;
-    if (src != kAliasObserved)
+    if (src != kAliasObserved) {
       EXPECT_EQ(at1, runOk(src, 1, o0())) << src;
+    }
   }
 }
 

@@ -90,8 +90,9 @@ TEST(ConnComp, LabelsPartitionForeground) {
   // Adjacent foreground cells share labels.
   for (int64_t i = 0; i < 16; ++i)
     for (int64_t j = 0; j + 1 < 16; ++j)
-      if (g.boolean()[i * 16 + j] && g.boolean()[i * 16 + j + 1])
+      if (g.boolean()[i * 16 + j] && g.boolean()[i * 16 + j + 1]) {
         EXPECT_EQ(l.i32()[i * 16 + j], l.i32()[i * 16 + j + 1]);
+      }
 }
 
 TEST(ConnComp, RejectsWrongInput) {

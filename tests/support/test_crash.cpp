@@ -117,7 +117,7 @@ TEST(Perf, SamplesOrSkipsGracefully) {
   if (perf::begin()) {
     // Capable host: a measured busy loop must read back a live sample.
     volatile double x = 0;
-    for (int i = 0; i < 100000; ++i) x += i * 0.5;
+    for (int i = 0; i < 100000; ++i) x = x + i * 0.5;
     perf::Sample s = perf::end();
     EXPECT_TRUE(s.ok);
     EXPECT_GT(s.instructions, 0u);

@@ -385,8 +385,11 @@ TEST(Metrics, HistogramSameNameSameCell) {
   a.record(1);
   b.record(2);
   Snapshot s = snapshot();
-  for (const auto& row : s.histograms)
-    if (row.name == "test.hist.shared") EXPECT_EQ(row.count, 2u);
+  for (const auto& row : s.histograms) {
+    if (row.name == "test.hist.shared") {
+      EXPECT_EQ(row.count, 2u);
+    }
+  }
 }
 
 // --- trace saturation (ISSUE 10 satellite) --------------------------------
