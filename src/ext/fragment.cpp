@@ -116,7 +116,7 @@ bool composeGrammar(const std::vector<const GrammarFragment*>& fragments,
     ok = false;
   }
 
-  if (ok) out.computeFirstSets();
+  if (ok) out.computeNullable();
   return ok;
 }
 

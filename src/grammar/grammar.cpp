@@ -38,36 +38,18 @@ std::string Grammar::symbolName(GSym s) const {
   return std::string(ntNames_[s.idx]);
 }
 
-void Grammar::computeFirstSets() {
-  size_t nTerm = terminalCount();
-  size_t nNT = nonterminalCount();
-  nullable_.assign(nNT, 0);
-  first_.assign(nNT, DynBitset(nTerm + 1));
-
+void Grammar::computeNullable() {
+  nullable_.assign(nonterminalCount(), 0);
   bool changed = true;
   while (changed) {
     changed = false;
     for (const Production& p : prods_) {
-      // nullable
-      if (!nullable_[p.lhs]) {
-        bool allNullable = true;
-        for (const GSym& s : p.rhs) {
-          if (s.isTerm() || !nullable_[s.idx]) { allNullable = false; break; }
-        }
-        if (allNullable) { nullable_[p.lhs] = 1; changed = true; }
-      }
-      // FIRST
+      if (nullable_[p.lhs]) continue;
+      bool allNullable = true;
       for (const GSym& s : p.rhs) {
-        if (s.isTerm()) {
-          if (!first_[p.lhs].test(s.idx)) {
-            first_[p.lhs].set(s.idx);
-            changed = true;
-          }
-          break;
-        }
-        if (first_[p.lhs].merge(first_[s.idx])) changed = true;
-        if (!nullable_[s.idx]) break;
+        if (s.isTerm() || !nullable_[s.idx]) { allNullable = false; break; }
       }
+      if (allNullable) { nullable_[p.lhs] = 1; changed = true; }
     }
   }
 }

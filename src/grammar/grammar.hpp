@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "lex/scanner.hpp"
-#include "support/bitset.hpp"
 
 namespace mmx::grammar {
 
@@ -82,12 +81,11 @@ public:
   std::string symbolName(GSym s) const;
 
   // --- analysis -----------------------------------------------------------
-  /// Computes nullable + FIRST for every nonterminal. Must be called after
-  /// the grammar is complete and before nullable()/first().
-  void computeFirstSets();
+  /// Computes which nonterminals derive ε. Must be called after the
+  /// grammar is complete and before nullable().
+  void computeNullable();
 
   bool nullable(NonterminalId n) const { return nullable_[n]; }
-  const DynBitset& first(NonterminalId n) const { return first_[n]; }
 
 private:
   lex::LexSpec lexSpec_;
@@ -97,7 +95,6 @@ private:
   NonterminalId start_ = 0;
 
   std::vector<uint8_t> nullable_;
-  std::vector<DynBitset> first_; // over terminalCount()+1 columns
 };
 
 } // namespace mmx::grammar

@@ -53,7 +53,7 @@ struct Conflict {
 /// Immutable LALR(1) tables for a composed grammar.
 class LalrTables {
 public:
-  /// Builds tables. `g` must have computeFirstSets() already run.
+  /// Builds tables. `g` must have computeNullable() already run.
   static LalrTables build(const grammar::Grammar& g);
 
   size_t stateCount() const { return numStates_; }

@@ -35,7 +35,7 @@ struct ExprLang {
     g.addProduction(F, {GSym::term(tId)}, "f_id", "host");
 
     g.setStart(E);
-    g.computeFirstSets();
+    g.computeNullable();
   }
 };
 

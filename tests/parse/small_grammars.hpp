@@ -1,5 +1,5 @@
-// Small hand-written grammars shared by the parse/ unit tests and the LALR
-// table-identity oracle test, plus the spec reader that builds them.
+// Small hand-written grammars shared by the parse/ unit tests, plus the spec
+// reader that builds them.
 #pragma once
 
 #include <sstream>
@@ -17,7 +17,7 @@ namespace mmx::test {
 /// after `->` is ε); `name@ext:` sets the production's extension (default
 /// "host"). `terminals` lists the terminal names in id order; every other
 /// symbol is a nonterminal, numbered by first appearance. The first
-/// production's left-hand side is the start symbol. FIRST sets are computed.
+/// production's left-hand side is the start symbol. Nullability is computed.
 inline grammar::Grammar makeGrammar(const std::vector<std::string>& terminals,
                                     const std::vector<std::string>& prods) {
   grammar::Grammar g;
@@ -43,7 +43,7 @@ inline grammar::Grammar makeGrammar(const std::vector<std::string>& terminals,
     while (in >> s) rhs.push_back(sym(s));
     g.addProduction(a, std::move(rhs), label, ext);
   }
-  g.computeFirstSets();
+  g.computeNullable();
   return g;
 }
 

@@ -125,7 +125,7 @@ TEST(Parser, ContextAwareKeywordReuse) {
   g.addProduction(S, {GSym::term(tLoop), GSym::term(tId)}, "s_loop", "ext");
   g.addProduction(S, {GSym::term(tId)}, "s_id", "host");
   g.setStart(S);
-  g.computeFirstSets();
+  g.computeNullable();
 
   // "loop loop": first `loop` is the keyword (state 0 allows both, keyword
   // precedence wins); second `loop` is scanned in a state where only id is
