@@ -14,10 +14,9 @@ namespace {
 
 // The runtime every emitted program carries, one fixed text: the matrix
 // cells and their operations, the kernel cores, and the mmx_ms_* matrix
-// allocator. mmx_ms_* mirrors src/runtime/memsys.cpp (size classes,
-// magazine and depot policy, counter bump points), so single-threaded runs
-// of one program give byte-equal rt.alloc.cache.* counters in the
-// interpreter and the emitted C; change both sides together.
+// allocator. The allocator's mechanism is src/runtime/c/memsys.c, spliced
+// in verbatim at build time; memsys.cpp compiles the same file, so the
+// interpreter and the emitted C run one allocator.
 const char* kPrelude =
 #include "ir/cemit_prelude.inc"
     ;
@@ -693,13 +692,13 @@ static void mmx_prof_dump(void) {
       fprintf(f, "  \"rt.alloc.count\": %llu,\n", mmx_prof_allocs);
       fprintf(f, "  \"rt.alloc.bytes\": %llu,\n", mmx_prof_alloc_bytes);
       fprintf(f, "  \"rt.alloc.cache.cachedBytes\": %llu,\n",
-              __atomic_load_n(&mmx_ms_cached_bytes, __ATOMIC_RELAXED));
+              __atomic_load_n(&mmx_ms_stats.cached, __ATOMIC_RELAXED));
       fprintf(f, "  \"rt.alloc.cache.flushes\": %llu,\n",
-              __atomic_load_n(&mmx_ms_flushes, __ATOMIC_RELAXED));
+              __atomic_load_n(&mmx_ms_stats.flushes, __ATOMIC_RELAXED));
       fprintf(f, "  \"rt.alloc.cache.hits\": %llu,\n",
-              __atomic_load_n(&mmx_ms_hits, __ATOMIC_RELAXED));
+              __atomic_load_n(&mmx_ms_stats.hits, __ATOMIC_RELAXED));
       fprintf(f, "  \"rt.alloc.cache.misses\": %llu,\n",
-              __atomic_load_n(&mmx_ms_misses, __ATOMIC_RELAXED));
+              __atomic_load_n(&mmx_ms_stats.misses, __ATOMIC_RELAXED));
       fprintf(f, "  \"rt.alloc.liveBytes\": %llu,\n",
               __atomic_load_n(&mmx_prof_live_bytes, __ATOMIC_RELAXED));
       fprintf(f, "  \"rt.alloc.peakBytes\": %llu,\n", mmx_prof_peak_bytes);

@@ -1,29 +1,23 @@
-// Thread-caching memory subsystem (ISSUE 9). Mechanism notes:
+// Thread-caching memory subsystem (ISSUE 9). The allocator mechanism itself
+// (block header, size classes, magazines, depot, arena) is the plain C in
+// runtime/c/memsys.c, which every emitted program also carries, so both
+// backends run one allocator and single-threaded runs of the same program
+// produce byte-equal hits/misses/flushes counters. This file adds what a
+// host process needs on top of it:
 //
-//   - Every block is [MsHeader 16B][payload]; the header tags the strategy
-//     that produced the block plus its size class, so msFree routes each
-//     block to its origin even if the selection changed in between.
-//   - Size classes are geometric: class c holds blocks whose total size
-//     (header included) fits 16<<c bytes, c in [0, 24). Anything larger
-//     than 16<<23 (128 MiB) bypasses the cache entirely.
-//   - cache strategy: a per-thread magazine (singly-linked free list per
-//     class, the link stored in the free payload) backed by a central
-//     depot. The depot mutex is touched only when a magazine refills or
-//     flushes; a thread frees into its *own* magazine, so cross-thread
-//     frees migrate blocks between threads through the depot.
-//   - All policy constants (magazine capacity, depot capacity, flush
-//     half-emptying) are mirrored verbatim by the emitted-C mmx_ms_*
-//     runtime in cemit_prelude.inc: single-threaded runs of the same program must
-//     produce byte-equal hits/misses/flushes counters in both backends.
-//     Touch one side only in lockstep with the other.
-//   - In sanitizer builds freed payloads are poisoned with 0xDD so stale
-//     reads through recycled blocks surface as wrong values immediately
-//     rather than silently seeing the previous matrix's data.
+//   - selection: selectAllocator, $MMX_ALLOC, AllocatorOverride;
+//   - dispatch, classifying on bytes + 16 (the emitted mmx_ms_alloc uses
+//     bytes + 32, for the refcount header this runtime keeps separately);
+//   - a registry of each thread's __thread magazines and arena chunks, so
+//     msTrim() can reclaim them and a thread flushes them when it exits;
+//   - the rt.alloc.* gauges, the rt.alloc.magazine.size histogram, and
+//     freed-payload poisoning (0xDD) in sanitizer builds, so stale reads
+//     through recycled blocks surface as wrong values immediately.
 //
-// Immortality: the depot, registries, and selection state are heap
-// objects that are deliberately never destroyed, so frees from late
-// static destructors and exiting threads stay safe, and cached blocks
-// remain reachable (LeakSanitizer-quiet) through them.
+// Immortality: the registry and selection state are heap objects that are
+// deliberately never destroyed, so frees from late static destructors and
+// exiting threads stay safe, and cached blocks remain reachable
+// (LeakSanitizer-quiet) through them and through the depot.
 #include "runtime/memsys.hpp"
 
 #include <atomic>
@@ -52,67 +46,30 @@ namespace mmx::rt {
 
 namespace {
 
-// ---- block header -------------------------------------------------------
+[[noreturn]] void mmx_fail(const char*) { throw std::bad_alloc(); }
 
-enum : uint32_t {
-  kKindSystem = 1,
-  kKindCache = 2,
-  kKindArena = 3,
-  kKindHuge = 4, // cache-mode block too large to class; exact-sized
-};
+#include "runtime/c/memsys.c"
 
-struct alignas(16) MsHeader {
-  uint32_t kind;
-  uint32_t cls;   // size class (cache blocks only)
-  uint64_t bytes; // requested payload size (poison extent, debugging)
-};
-static_assert(sizeof(MsHeader) == 16);
-
-// ---- size classes (mirrored by the emitted-C runtime) -------------------
-
-constexpr uint32_t kNumClasses = 24;
-constexpr size_t kMaxCachedTotal = size_t{16} << (kNumClasses - 1); // 128 MiB
-
-constexpr size_t capOf(uint32_t cls) { return size_t{16} << cls; }
-
-uint32_t classFor(size_t total) {
-  uint32_t c = 0;
-  while (capOf(c) < total) ++c;
-  return c;
-}
-
-/// Magazine capacity: ~256 KiB of blocks per class, clamped to [4, 64].
-uint32_t magCap(uint32_t cls) {
-  size_t n = (size_t{256} << 10) / capOf(cls);
-  if (n < 4) return 4;
-  if (n > 64) return 64;
-  return static_cast<uint32_t>(n);
-}
-
-uint32_t depotCap(uint32_t cls) { return 4 * magCap(cls); }
+constexpr size_t kMaxCachedTotal = size_t{16} << (MMX_MS_CLASSES - 1);
 
 // ---- telemetry ----------------------------------------------------------
 
-std::atomic<uint64_t> g_hits{0};
-std::atomic<uint64_t> g_misses{0};
-std::atomic<uint64_t> g_flushes{0};
-std::atomic<uint64_t> g_cachedBytes{0};
 std::atomic<uint64_t> g_trims{0};
+
+uint64_t load(const unsigned long long& counter) {
+  return __atomic_load_n(&counter, __ATOMIC_RELAXED);
+}
 
 struct GaugeRegistrar {
   GaugeRegistrar() {
-    metrics::registerGauge("rt.alloc.cache.hits", [] {
-      return g_hits.load(std::memory_order_relaxed);
-    });
-    metrics::registerGauge("rt.alloc.cache.misses", [] {
-      return g_misses.load(std::memory_order_relaxed);
-    });
-    metrics::registerGauge("rt.alloc.cache.flushes", [] {
-      return g_flushes.load(std::memory_order_relaxed);
-    });
-    metrics::registerGauge("rt.alloc.cache.cachedBytes", [] {
-      return g_cachedBytes.load(std::memory_order_relaxed);
-    });
+    metrics::registerGauge("rt.alloc.cache.hits",
+                           [] { return load(mmx_ms_stats.hits); });
+    metrics::registerGauge("rt.alloc.cache.misses",
+                           [] { return load(mmx_ms_stats.misses); });
+    metrics::registerGauge("rt.alloc.cache.flushes",
+                           [] { return load(mmx_ms_stats.flushes); });
+    metrics::registerGauge("rt.alloc.cache.cachedBytes",
+                           [] { return load(mmx_ms_stats.cached); });
     metrics::registerGauge("rt.alloc.trims", [] {
       return g_trims.load(std::memory_order_relaxed);
     });
@@ -120,236 +77,92 @@ struct GaugeRegistrar {
 };
 const GaugeRegistrar g_gaugeRegistrar;
 
-// ---- raw system blocks --------------------------------------------------
+// ---- per-thread registration --------------------------------------------
 
-void* sysNew(size_t bytes) { return ::operator new(bytes, std::align_val_t{16}); }
-void sysDelete(void* p) noexcept {
-  ::operator delete(p, std::align_val_t{16});
-}
+/// Where one live thread keeps its memsys.c state.
+struct ThreadSlots {
+  mmx_ms_hdr** magHead;
+  unsigned* magCount;
+  mmx_ms_chunk** chunks;
+  char** cur;
+  size_t* avail;
+};
 
-// Free-list link, stored in the first word of the (dead) payload.
-void*& nextOf(MsHeader* h) { return *reinterpret_cast<void**>(h + 1); }
-
-// ---- central depot ------------------------------------------------------
-
-struct Depot {
+struct Registry {
   std::mutex mu;
-  MsHeader* head[kNumClasses] = {};
-  // Atomic so the miss path can peek emptiness without the lock; all
-  // writes happen under mu.
-  std::atomic<uint32_t> count[kNumClasses] = {};
+  std::vector<ThreadSlots*> live;
+  mmx_ms_chunk* orphans = nullptr; // arena chunks of exited threads
 };
 
-Depot& depot() {
-  static Depot* d = new Depot;
-  return *d;
-}
-
-/// Caller holds depot().mu. Pushes one block; evicts to the system when
-/// the class is over capacity.
-void depotPushLocked(Depot& d, MsHeader* h) {
-  uint32_t cls = h->cls;
-  nextOf(h) = d.head[cls];
-  d.head[cls] = h;
-  uint32_t n = d.count[cls].fetch_add(1, std::memory_order_relaxed) + 1;
-  while (n > depotCap(cls)) {
-    MsHeader* evict = d.head[cls];
-    d.head[cls] = static_cast<MsHeader*>(nextOf(evict));
-    n = d.count[cls].fetch_sub(1, std::memory_order_relaxed) - 1;
-    g_cachedBytes.fetch_sub(capOf(cls), std::memory_order_relaxed);
-    sysDelete(evict);
-  }
-}
-
-// ---- per-thread magazines -----------------------------------------------
-
-struct ThreadCache {
-  MsHeader* head[kNumClasses] = {};
-  uint32_t count[kNumClasses] = {};
-
-  ThreadCache();
-  ~ThreadCache();
-};
-
-struct CacheRegistry {
-  std::mutex mu;
-  std::vector<ThreadCache*> list;
-};
-
-CacheRegistry& cacheRegistry() {
-  static CacheRegistry* r = new CacheRegistry;
+Registry& registry() {
+  static Registry* r = new Registry;
   return *r;
 }
 
-/// Null once the thread's cache has been destroyed (late frees during
-/// thread/process teardown go straight to the depot).
-thread_local ThreadCache* g_tc = nullptr;
-
-ThreadCache::ThreadCache() {
-  CacheRegistry& r = cacheRegistry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  r.list.push_back(this);
-  g_tc = this;
-}
-
-ThreadCache::~ThreadCache() {
-  g_tc = nullptr;
-  Depot& d = depot();
-  CacheRegistry& r = cacheRegistry();
-  std::scoped_lock lock(r.mu, d.mu);
-  for (uint32_t cls = 0; cls < kNumClasses; ++cls) {
-    while (head[cls]) {
-      MsHeader* h = head[cls];
-      head[cls] = static_cast<MsHeader*>(nextOf(h));
-      depotPushLocked(d, h);
-    }
-    count[cls] = 0;
-  }
-  for (auto it = r.list.begin(); it != r.list.end(); ++it)
-    if (*it == this) {
-      r.list.erase(it);
-      break;
-    }
-}
-
-ThreadCache* threadCache() {
-  thread_local ThreadCache tc;
-  return g_tc; // null after ~ThreadCache ran for this thread
-}
-
-// ---- cache strategy -----------------------------------------------------
-
-void* cacheAlloc(size_t bytes, size_t total) {
-  uint32_t cls = classFor(total);
-  size_t cap = capOf(cls);
-  ThreadCache* tc = threadCache();
-  MsHeader* h = nullptr;
-  if (tc && tc->head[cls]) {
-    g_hits.fetch_add(1, std::memory_order_relaxed);
-    h = tc->head[cls];
-    tc->head[cls] = static_cast<MsHeader*>(nextOf(h));
-    --tc->count[cls];
-    g_cachedBytes.fetch_sub(cap, std::memory_order_relaxed);
-  } else {
-    g_misses.fetch_add(1, std::memory_order_relaxed);
-    Depot& d = depot();
-    if (d.count[cls].load(std::memory_order_relaxed) > 0) {
-      std::lock_guard<std::mutex> lock(d.mu);
-      uint32_t want = tc ? magCap(cls) / 2 : 1;
-      while (want > 0 && d.head[cls]) {
-        MsHeader* b = d.head[cls];
-        d.head[cls] = static_cast<MsHeader*>(nextOf(b));
-        d.count[cls].fetch_sub(1, std::memory_order_relaxed);
-        --want;
-        if (!h) {
-          h = b; // first refilled block services this allocation
-          g_cachedBytes.fetch_sub(cap, std::memory_order_relaxed);
-        } else {
-          nextOf(b) = tc->head[cls];
-          tc->head[cls] = b;
-          ++tc->count[cls];
-        }
-      }
-    }
-    if (!h) h = static_cast<MsHeader*>(sysNew(cap));
-  }
-  h->kind = kKindCache;
-  h->cls = cls;
-  h->bytes = bytes;
-  return h + 1;
-}
-
-void cacheFree(MsHeader* h) noexcept {
-#if MMX_MS_POISON
-  std::memset(h + 1, 0xDD, h->bytes);
-#endif
-  uint32_t cls = h->cls;
-  size_t cap = capOf(cls);
-  g_cachedBytes.fetch_add(cap, std::memory_order_relaxed);
-  ThreadCache* tc = g_tc;
-  if (!tc) {
-    Depot& d = depot();
-    std::lock_guard<std::mutex> lock(d.mu);
-    depotPushLocked(d, h);
-    return;
-  }
-  nextOf(h) = tc->head[cls];
-  tc->head[cls] = h;
-  ++tc->count[cls];
-  uint32_t cap_n = magCap(cls);
-  if (tc->count[cls] > cap_n) {
-    // Flush the older half to the depot; one flush event per overflow.
-    g_flushes.fetch_add(1, std::memory_order_relaxed);
-    Depot& d = depot();
-    std::lock_guard<std::mutex> lock(d.mu);
-    while (tc->count[cls] > cap_n / 2) {
-      MsHeader* b = tc->head[cls];
-      tc->head[cls] = static_cast<MsHeader*>(nextOf(b));
-      --tc->count[cls];
-      depotPushLocked(d, b);
-    }
+/// Pushes a list of arena chunks onto `to`.
+void spliceChunks(mmx_ms_chunk* from, mmx_ms_chunk*& to) {
+  while (from) {
+    mmx_ms_chunk* c = from;
+    from = c->next;
+    c->next = to;
+    to = c;
   }
 }
 
-// ---- arena strategy -----------------------------------------------------
-
-struct ArenaChunk {
-  ArenaChunk* next;
-  size_t cap; // payload capacity after this header
-};
-static_assert(sizeof(ArenaChunk) % 16 == 0);
-
-struct ArenaState {
-  ArenaChunk* chunks = nullptr;
-  char* cur = nullptr;
-  size_t avail = 0;
-};
-
-struct ArenaRegistry {
-  std::mutex mu;
-  std::vector<ArenaState*> list;
-};
-
-ArenaRegistry& arenaRegistry() {
-  static ArenaRegistry* r = new ArenaRegistry;
-  return *r;
+/// Returns one class's free list to the system.
+void releaseList(mmx_ms_hdr*& head, unsigned cls) {
+  while (mmx_ms_hdr* h = head) {
+    head = static_cast<mmx_ms_hdr*>(*mmx_ms_next(h));
+    __atomic_sub_fetch(&mmx_ms_stats.cached, mmx_ms_cap(cls), __ATOMIC_RELAXED);
+    free(h);
+  }
 }
 
-constexpr size_t kArenaChunk = size_t{1} << 20;
+enum ThreadState { kUnregistered, kRegistered, kExited };
+thread_local ThreadState t_state = kUnregistered;
 
-thread_local ArenaState* g_arena = nullptr;
+/// Registers this thread's magazines and arena chunks on construction;
+/// at thread exit flushes the magazines to the depot and hands the chunks
+/// to the registry, because the thread's storage dies with it.
+struct ThreadHook {
+  ThreadSlots slots{mmx_ms_mag_head, mmx_ms_mag_count, &mmx_ms_arena_chunks,
+                    &mmx_ms_arena_cur, &mmx_ms_arena_avail};
 
-ArenaState* arenaState() {
-  if (!g_arena) {
-    // The state object is immortal (the registry keeps it reachable):
-    // msTrim() reclaims the chunks, not the bookkeeping.
-    g_arena = new ArenaState;
-    ArenaRegistry& r = arenaRegistry();
+  ThreadHook() {
+    Registry& r = registry();
     std::lock_guard<std::mutex> lock(r.mu);
-    r.list.push_back(g_arena);
+    r.live.push_back(&slots);
   }
-  return g_arena;
-}
 
-void* arenaAlloc(size_t bytes, size_t total) {
-  total = (total + 15) & ~size_t{15};
-  ArenaState* st = arenaState();
-  if (st->avail < total) {
-    size_t payload = total > kArenaChunk ? total : kArenaChunk;
-    auto* c = static_cast<ArenaChunk*>(sysNew(sizeof(ArenaChunk) + payload));
-    c->next = st->chunks;
-    c->cap = payload;
-    st->chunks = c;
-    st->cur = reinterpret_cast<char*>(c + 1);
-    st->avail = payload;
+  ~ThreadHook() {
+    t_state = kExited;
+    Registry& r = registry();
+    std::lock_guard<std::mutex> lock(r.mu);
+    mmx_ms_lock();
+    for (unsigned cls = 0; cls < MMX_MS_CLASSES; ++cls) {
+      while (mmx_ms_hdr* h = mmx_ms_mag_head[cls]) {
+        mmx_ms_mag_head[cls] = static_cast<mmx_ms_hdr*>(*mmx_ms_next(h));
+        mmx_ms_depot_push(h);
+      }
+      mmx_ms_mag_count[cls] = 0;
+    }
+    mmx_ms_unlock();
+    spliceChunks(mmx_ms_arena_chunks, r.orphans);
+    mmx_ms_arena_chunks = nullptr;
+    mmx_ms_arena_cur = nullptr;
+    mmx_ms_arena_avail = 0;
+    std::erase(r.live, &slots);
   }
-  auto* h = reinterpret_cast<MsHeader*>(st->cur);
-  st->cur += total;
-  st->avail -= total;
-  h->kind = kKindArena;
-  h->cls = 0;
-  h->bytes = bytes;
-  return h + 1;
+};
+
+/// True while this thread may use its magazines and arena; registers the
+/// thread on first use. False once its exit hook ran.
+bool threadUsable() {
+  if (t_state == kRegistered) return true;
+  if (t_state == kExited) return false;
+  thread_local ThreadHook hook;
+  t_state = kRegistered;
+  return true;
 }
 
 // ---- selection ----------------------------------------------------------
@@ -463,19 +276,17 @@ void* msAlloc(size_t bytes) {
   static const metrics::Histogram sizeHist =
       metrics::histogram("rt.alloc.magazine.size");
   sizeHist.record(bytes);
-  size_t total = bytes + sizeof(MsHeader);
+  size_t total = bytes + sizeof(mmx_ms_hdr);
   AllocKind k = activeAllocator();
-  if (k == AllocKind::Cache) {
-    if (total <= kMaxCachedTotal) return cacheAlloc(bytes, total);
-    auto* h = static_cast<MsHeader*>(sysNew(total));
-    h->kind = kKindHuge;
-    h->cls = 0;
-    h->bytes = bytes;
-    return h + 1;
-  }
-  if (k == AllocKind::Arena) return arenaAlloc(bytes, total);
-  auto* h = static_cast<MsHeader*>(sysNew(total));
-  h->kind = kKindSystem;
+  if (k == AllocKind::Cache && total <= kMaxCachedTotal && threadUsable())
+    return mmx_ms_cache_alloc(bytes, total);
+  if (k == AllocKind::Arena && threadUsable())
+    return mmx_ms_arena_alloc(bytes, total);
+  // The system strategy, cache-mode blocks too large to class, and late
+  // allocations of a thread whose exit hook already ran.
+  auto* h = static_cast<mmx_ms_hdr*>(malloc(total));
+  if (!h) throw std::bad_alloc();
+  h->kind = k == AllocKind::System ? MMX_MS_SYSTEM : MMX_MS_HUGE;
   h->cls = 0;
   h->bytes = bytes;
   return h + 1;
@@ -483,61 +294,48 @@ void* msAlloc(size_t bytes) {
 
 void msFree(void* p) noexcept {
   if (!p) return;
-  MsHeader* h = static_cast<MsHeader*>(p) - 1;
-  switch (h->kind) {
-  case kKindCache:
-    cacheFree(h);
-    return;
-  case kKindArena:
+  mmx_ms_hdr* h = static_cast<mmx_ms_hdr*>(p) - 1;
 #if MMX_MS_POISON
-    std::memset(h + 1, 0xDD, h->bytes);
+  if (h->kind == MMX_MS_CACHE || h->kind == MMX_MS_ARENA)
+    std::memset(p, 0xDD, h->bytes);
 #endif
-    return; // reclaimed wholesale at msTrim()
-  default:
-    sysDelete(h);
+  if (h->kind == MMX_MS_CACHE && t_state != kRegistered) {
+    // No magazines on this thread (never allocated, or already exited):
+    // park the block in the depot.
+    __atomic_add_fetch(&mmx_ms_stats.cached, mmx_ms_cap(h->cls),
+                       __ATOMIC_RELAXED);
+    mmx_ms_lock();
+    mmx_ms_depot_push(h);
+    mmx_ms_unlock();
     return;
   }
+  mmx_ms_free(p);
 }
 
 void msTrim() {
-  {
-    // Quiescent contract: no concurrent allocation, so walking the other
-    // threads' magazines is safe.
-    Depot& d = depot();
-    CacheRegistry& r = cacheRegistry();
-    std::scoped_lock lock(r.mu, d.mu);
-    for (ThreadCache* tc : r.list)
-      for (uint32_t cls = 0; cls < kNumClasses; ++cls) {
-        while (tc->head[cls]) {
-          MsHeader* h = tc->head[cls];
-          tc->head[cls] = static_cast<MsHeader*>(nextOf(h));
-          g_cachedBytes.fetch_sub(capOf(cls), std::memory_order_relaxed);
-          sysDelete(h);
-        }
-        tc->count[cls] = 0;
-      }
-    for (uint32_t cls = 0; cls < kNumClasses; ++cls) {
-      while (d.head[cls]) {
-        MsHeader* h = d.head[cls];
-        d.head[cls] = static_cast<MsHeader*>(nextOf(h));
-        g_cachedBytes.fetch_sub(capOf(cls), std::memory_order_relaxed);
-        sysDelete(h);
-      }
-      d.count[cls].store(0, std::memory_order_relaxed);
+  // Quiescent contract: no concurrent allocation, so walking the other
+  // threads' magazines and arena chunks is safe.
+  Registry& r = registry();
+  std::lock_guard<std::mutex> lock(r.mu);
+  mmx_ms_lock();
+  for (unsigned cls = 0; cls < MMX_MS_CLASSES; ++cls) {
+    for (ThreadSlots* t : r.live) {
+      releaseList(t->magHead[cls], cls);
+      t->magCount[cls] = 0;
     }
+    releaseList(mmx_ms_depot_head[cls], cls);
+    __atomic_store_n(&mmx_ms_depot_count[cls], 0u, __ATOMIC_RELAXED);
   }
-  {
-    ArenaRegistry& r = arenaRegistry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    for (ArenaState* st : r.list) {
-      while (st->chunks) {
-        ArenaChunk* c = st->chunks;
-        st->chunks = c->next;
-        sysDelete(c);
-      }
-      st->cur = nullptr;
-      st->avail = 0;
-    }
+  mmx_ms_unlock();
+  for (ThreadSlots* t : r.live) {
+    spliceChunks(*t->chunks, r.orphans);
+    *t->chunks = nullptr;
+    *t->cur = nullptr;
+    *t->avail = 0;
+  }
+  while (mmx_ms_chunk* c = r.orphans) {
+    r.orphans = c->next;
+    free(c);
   }
   noteAllocTrim();
 }
@@ -548,10 +346,10 @@ void noteAllocTrim() noexcept {
 
 MsCacheStats msCacheStats() noexcept {
   MsCacheStats s;
-  s.hits = g_hits.load(std::memory_order_relaxed);
-  s.misses = g_misses.load(std::memory_order_relaxed);
-  s.flushes = g_flushes.load(std::memory_order_relaxed);
-  s.cachedBytes = g_cachedBytes.load(std::memory_order_relaxed);
+  s.hits = load(mmx_ms_stats.hits);
+  s.misses = load(mmx_ms_stats.misses);
+  s.flushes = load(mmx_ms_stats.flushes);
+  s.cachedBytes = load(mmx_ms_stats.cached);
   return s;
 }
 

@@ -6,7 +6,7 @@
 //   system — ::operator new / delete per block (the historical default);
 //   cache  — thread-caching size-class allocator: per-thread magazine
 //            free-lists over 16-byte size classes with a bounded central
-//            depot (the depot mutex is touched only on refill/flush),
+//            depot (the depot lock is touched only on refill/flush),
 //            tcmalloc/Hoard-style as surveyed by the paper;
 //   arena  — per-thread bump arenas, frees deferred (profile mode for
 //            with-loop temporary churn; memory is reclaimed at trim()).
@@ -16,15 +16,14 @@
 //   2. the MMX_ALLOC environment variable (consulted under "auto");
 //   3. auto: "cache".
 //
-// Every block carries a 16-byte MsHeader tagging which strategy produced
-// it, so a block is always returned to its origin allocator even when the
-// selection changes mid-process (AllocatorOverride in tests). Explicit
-// setRcAllocHooks installations bypass this subsystem entirely.
+// Every block carries a 16-byte header tagging which strategy produced it,
+// so a block is always returned to its origin allocator even when the
+// selection changes mid-process (AllocatorOverride in tests).
 //
-// The same allocator is translated into the cemit prelude (mmx_ms_* in
-// src/ir/cemit_prelude.inc), with identical size-class math and magazine/depot policy so
-// the rt.alloc.cache.{hits,misses,flushes} counters match the interpreter
-// exactly on single-threaded runs of the same program.
+// The mechanism is one C source, runtime/c/memsys.c, that memsys.cpp
+// compiles and every emitted program carries (the mmx_ms_* prelude text),
+// so the rt.alloc.cache.{hits,misses,flushes} counters match the
+// interpreter exactly on single-threaded runs of the same program.
 #pragma once
 
 #include <cstddef>
@@ -62,9 +61,9 @@ AllocKind activeAllocator();
 /// changes the selection.
 std::string allocatorSelectionError(std::string_view requested);
 
-/// Raw block interface used by the refcount cells when no explicit
-/// RcAllocHooks are installed. Payloads are 16-byte aligned; msFree must
-/// receive a pointer from msAlloc (the hidden tag routes it home).
+/// Raw block interface behind the refcount cells. Payloads are 16-byte
+/// aligned; msFree must receive a pointer from msAlloc (the hidden tag
+/// routes it home).
 void* msAlloc(std::size_t bytes);
 void msFree(void* p) noexcept;
 
