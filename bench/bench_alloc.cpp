@@ -6,22 +6,22 @@
 // the three selectable strategies — system (per-block new/delete), cache
 // (thread-caching magazines over size classes), arena (per-thread bump
 // chunks) — on raw parallel churn, on matrix churn through the refcount
-// cells, and on an interpreted with-loop chain, plus the legacy
-// global-mutex free list as the paper's contention strawman.
+// cells, and on an interpreted with-loop chain, plus one global mutex
+// around malloc/free as the paper's contention strawman.
 //
 // Under MMX_STATS_JSON the run also lands the machine-independent
 // rt.alloc.cache.{hits,misses,flushes} counters (bench_stats.hpp).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <mutex>
 
 #include "bench_common.hpp"
 #include "bench_stats.hpp"
-#include "runtime/alloc.hpp"
 #include "runtime/matrix.hpp"
 #include "runtime/memsys.hpp"
 #include "runtime/pool.hpp"
-#include "runtime/refcount.hpp"
 
 namespace mmx::bench {
 namespace {
@@ -102,19 +102,22 @@ BENCHMARK(BM_MemsysChurn_ArenaPhase)
 
 // --- the paper's strawman: one mutex around every alloc -----------------
 
+std::mutex g_mallocMu;
+
 void BM_MutexAllocator_Contended(benchmark::State& state) {
-  auto& a = rt::MutexAllocator::instance();
   for (auto _ : state) {
     for (int i = 0; i < kAllocsPerIter; ++i) {
-      void* p = a.allocate(kBytes);
+      void* p;
+      {
+        std::lock_guard<std::mutex> lock(g_mallocMu);
+        p = std::malloc(kBytes);
+      }
       benchmark::DoNotOptimize(p);
-      a.deallocate(p);
+      std::lock_guard<std::mutex> lock(g_mallocMu);
+      std::free(p);
     }
   }
-  if (state.thread_index() == 0) {
-    a.trim();
-    state.counters["locks/alloc"] = 2;
-  }
+  if (state.thread_index() == 0) state.counters["locks/alloc"] = 2;
 }
 BENCHMARK(BM_MutexAllocator_Contended)
     ->Threads(1)->Threads(2)->Threads(4)->Threads(8)
@@ -162,17 +165,6 @@ void BM_MatrixChurn_Arena(benchmark::State& state) {
   matrixChurnUnder(state, "arena", /*trimEachIter=*/true);
 }
 BENCHMARK(BM_MatrixChurn_Arena)->Unit(benchmark::kMicrosecond);
-
-/// Explicit hook installation still bypasses the subsystem entirely —
-/// the pre-memsys comparison rows kept as a reference point.
-void BM_MatrixChurn_MutexHooks(benchmark::State& state) {
-  rt::setRcAllocHooks({rt::mutexAllocHook, rt::mutexFreeHook});
-  rt::ForkJoinPool pool(4);
-  for (auto _ : state) matrixChurn(pool);
-  rt::setRcAllocHooks({});
-  rt::MutexAllocator::instance().trim();
-}
-BENCHMARK(BM_MatrixChurn_MutexHooks)->Unit(benchmark::kMicrosecond);
 
 // --- interpreted with-loop chain under each strategy --------------------
 

@@ -337,10 +337,6 @@ void msTrim() {
     r.orphans = c->next;
     free(c);
   }
-  noteAllocTrim();
-}
-
-void noteAllocTrim() noexcept {
   g_trims.fetch_add(1, std::memory_order_relaxed);
 }
 

@@ -73,10 +73,6 @@ void msFree(void* p) noexcept;
 /// regions); bumps the rt.alloc.trims gauge.
 void msTrim();
 
-/// Bumps rt.alloc.trims — shared with MutexAllocator::trim() and
-/// ArenaAllocator::reset() so every allocator's trims land in one gauge.
-void noteAllocTrim() noexcept;
-
 /// Machine-independent cache telemetry (also exposed as the
 /// rt.alloc.cache.{hits,misses,flushes,cachedBytes} gauges): magazine
 /// hits, magazine misses (depot refill or fresh block), magazine→depot

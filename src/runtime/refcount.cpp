@@ -21,7 +21,6 @@ struct alignas(16) RcHeader {
 };
 static_assert(sizeof(RcHeader) == 16);
 
-RcAllocHooks g_hooks{};
 std::atomic<int64_t> g_live{0};
 std::atomic<uint64_t> g_liveBytes{0};
 std::atomic<uint64_t> g_peakBytes{0};
@@ -71,28 +70,10 @@ RcHeader* headerOf(const void* payload) noexcept {
   return const_cast<RcHeader*>(reinterpret_cast<const RcHeader*>(payload) - 1);
 }
 
-// Explicit hooks take absolute precedence (the bench/test redirection
-// surface); otherwise blocks come from the memory subsystem, whose
-// per-block tag keeps frees safe across --alloc strategy changes.
-void* rawAlloc(size_t bytes) {
-  if (g_hooks.alloc) return g_hooks.alloc(bytes);
-  return msAlloc(bytes);
-}
-
-void rawFree(void* p) {
-  if (g_hooks.free) {
-    g_hooks.free(p);
-    return;
-  }
-  msFree(p);
-}
-
 } // namespace
 
-void setRcAllocHooks(RcAllocHooks hooks) { g_hooks = hooks; }
-
 void* rcAlloc(size_t bytes) {
-  auto* h = static_cast<RcHeader*>(rawAlloc(sizeof(RcHeader) + bytes));
+  auto* h = static_cast<RcHeader*>(msAlloc(sizeof(RcHeader) + bytes));
   new (h) RcHeader{};
   h->count.store(1, std::memory_order_relaxed);
   h->bytes = bytes;
@@ -126,7 +107,7 @@ bool rcRelease(void* p) noexcept {
     g_liveBytes.fetch_sub(sizeof(RcHeader) + h->bytes,
                           std::memory_order_relaxed);
     h->~RcHeader();
-    rawFree(h);
+    msFree(h);
     return true;
   }
   return false;

@@ -13,19 +13,9 @@
 
 namespace mmx::rt {
 
-/// Allocator hooks so the cells can be redirected at the allocators in
-/// alloc.hpp (used by the §III-C allocator-contention bench).
-struct RcAllocHooks {
-  void* (*alloc)(size_t) = nullptr; // nullptr => ::operator new
-  void (*free)(void*) = nullptr;    // nullptr => ::operator delete
-};
-
-/// Installs allocator hooks; pass {} to restore the defaults. Not
-/// thread-safe; call before parallel work starts.
-void setRcAllocHooks(RcAllocHooks hooks);
-
-/// Allocates `bytes` of payload with a hidden counter initialized to 1.
-/// The payload is 16-byte aligned (SSE loads on matrix data).
+/// Allocates `bytes` of payload with a hidden counter initialized to 1,
+/// from the memory subsystem (memsys.hpp). The payload is 16-byte aligned
+/// (SSE loads on matrix data).
 void* rcAlloc(size_t bytes);
 
 /// Increments the counter. `p` must be a payload from rcAlloc.
