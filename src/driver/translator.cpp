@@ -77,18 +77,6 @@ bool Translator::compose(TranslateOptions opts) {
     return false;
   }
 
-  attrReg_ = std::make_unique<attr::Registry>();
-  sema_ = std::make_unique<cm::Sema>(composeDiags_, *attrReg_);
-  sema_->fusionEnabled = opts.fusion;
-  sema_->sliceEliminationEnabled = opts.sliceElimination;
-  sema_->autoParallelEnabled = opts.autoParallel;
-  sema_->warnShape = opts.warnShape;
-  sema_->strictShape = opts.strictShape;
-  sema_->warnTransform = opts.warnTransform;
-  sema_->strictTransform = opts.strictTransform;
-  cm::installHostSemantics(*sema_);
-  for (const auto& e : extensions_) e->installSemantics(*sema_);
-
   composed_ = true;
   return !composeDiags_.hasErrors();
 }

@@ -114,8 +114,6 @@ private:
   std::vector<ext::ExtensionPtr> extensions_;
   grammar::Grammar grammar_;
   std::unique_ptr<parse::Parser> parser_;
-  std::unique_ptr<attr::Registry> attrReg_;
-  std::unique_ptr<cm::Sema> sema_;
   DiagnosticEngine composeDiags_;
   SourceManager composeSm_;
   bool composed_ = false;
