@@ -356,11 +356,6 @@ private:
             worker.locals_ = x->self->locals_;
             for (int64_t i = clo; i < chi; ++i) {
               worker.locals_[x->s->slot] = static_cast<int32_t>(i);
-              if (x->s->vecWidth == 4) {
-                // parallel + vectorized: vectorize within each chunk
-                // handled by the scalar path here; chunk-level
-                // vectorization happens when the loops are split.
-              }
               worker.exec(*x->s->kids[0]);
             }
           } catch (const std::exception& e) {
@@ -418,7 +413,7 @@ private:
         const Matrix& mtx = asM(locals_[s.slot]);
         VVal idx = evalVec(*s.exprs[0]);
         VVal val = evalVec(*s.exprs[1]);
-        storeVec(mtx, idx, val);
+        storeVec(mtx, idx, val, &s);
         return;
       }
       default:
@@ -480,7 +475,7 @@ private:
       case Expr::K::LoadFlat: {
         Matrix mtx = asM(eval(*e.args[0]));
         VVal idx = evalVec(*e.args[1]);
-        return loadVec(mtx, idx, e.ty);
+        return loadVec(mtx, idx, e.ty, &e);
       }
       default:
         fail("expression is not vectorizable");
@@ -518,15 +513,18 @@ private:
     }
   }
 
-  VVal loadVec(const Matrix& m, const VVal& idx, Ty elemTy) {
+  /// `site` is the LoadFlat/StoreFlat node whose bounds guard shapecheck
+  /// may have proven redundant, as for scalar loads and stores.
+  VVal loadVec(const Matrix& m, const VVal& idx, Ty elemTy, const void* site) {
     if (m.elem() == rt::Elem::Bool) fail("bool matrices are not vectorizable");
     alignas(16) int32_t lanes[4];
     idx.i.store(lanes);
     bool contig = lanes[1] == lanes[0] + 1 && lanes[2] == lanes[0] + 2 &&
                   lanes[3] == lanes[0] + 3;
-    for (int k = 0; k < 4; ++k)
-      if (lanes[k] < 0 || lanes[k] >= m.size())
-        fail("vector load out of bounds");
+    if (!skipGuard(site))
+      for (int k = 0; k < 4; ++k)
+        if (lanes[k] < 0 || lanes[k] >= m.size())
+          fail("vector load out of bounds");
     if (elemTy == Ty::F32) {
       if (contig) return VVal::ofF(rt::Vec4f::load(m.f32() + lanes[0]));
       alignas(16) float g[4];
@@ -539,13 +537,15 @@ private:
     return VVal::ofI(rt::Vec4i::load(g));
   }
 
-  void storeVec(const Matrix& m, const VVal& idx, const VVal& val) {
+  void storeVec(const Matrix& m, const VVal& idx, const VVal& val,
+                const void* site) {
     if (m.elem() == rt::Elem::Bool) fail("bool matrices are not vectorizable");
     alignas(16) int32_t lanes[4];
     idx.i.store(lanes);
-    for (int k = 0; k < 4; ++k)
-      if (lanes[k] < 0 || lanes[k] >= m.size())
-        fail("vector store out of bounds");
+    if (!skipGuard(site))
+      for (int k = 0; k < 4; ++k)
+        if (lanes[k] < 0 || lanes[k] >= m.size())
+          fail("vector store out of bounds");
     bool contig = lanes[1] == lanes[0] + 1 && lanes[2] == lanes[0] + 2 &&
                   lanes[3] == lanes[0] + 3;
     if (m.elem() == rt::Elem::F32) {

@@ -1620,11 +1620,11 @@ private:
         std::string ix = vecExprI(*s.exprs[0]);
         Ty et = s.exprs[1]->ty;
         if (et == Ty::F32)
-          line() << "mmx_vscatter_f(mmx_f(" << m << "), " << ix << ", "
-                 << vecExprF(*s.exprs[1]) << ");\n";
+          line() << "mmx_vscatter_f(" << m << ", " << ix << ", "
+                 << vecExprF(*s.exprs[1]) << chk(&s) << ");\n";
         else
-          line() << "mmx_vscatter_i(mmx_i(" << m << "), " << ix << ", "
-                 << vecExprI(*s.exprs[1]) << ");\n";
+          line() << "mmx_vscatter_i(" << m << ", " << ix << ", "
+                 << vecExprI(*s.exprs[1]) << chk(&s) << ");\n";
         return;
       }
       default:
@@ -1674,8 +1674,8 @@ private:
       case Expr::K::Cast:
         return "_mm_cvtepi32_ps(" + vecExprI(*e.args[0]) + ")";
       case Expr::K::LoadFlat:
-        return "mmx_vgather_f(mmx_f(" + names_[e.args[0]->slot] + "), " +
-               vecExprI(*e.args[1]) + ")";
+        return "mmx_vgather_f(" + names_[e.args[0]->slot] + ", " +
+               vecExprI(*e.args[1]) + chk(&e) + ")";
       default:
         err("expression is not vectorizable");
         return "_mm_setzero_ps()";
@@ -1716,8 +1716,8 @@ private:
         return "_mm_set1_epi32((int)mmx_dim(" + names_[e.args[0]->slot] +
                ", " + std::to_string(e.args[1]->i) + "))";
       case Expr::K::LoadFlat:
-        return "mmx_vgather_i(mmx_i(" + names_[e.args[0]->slot] + "), " +
-               vecExprI(*e.args[1]) + ")";
+        return "mmx_vgather_i(" + names_[e.args[0]->slot] + ", " +
+               vecExprI(*e.args[1]) + chk(&e) + ")";
       default:
         err("expression is not vectorizable");
         return "_mm_setzero_si128()";
@@ -1772,6 +1772,11 @@ CEmitResult emitC(const Module& m, const CEmitOptions& opts) {
   if (!pin("MMX_BACKEND_DEFAULT", opts.backend, "backend") ||
       !pin("MMX_ALLOC_DEFAULT", opts.alloc, "allocator"))
     return res;
+  // A program calls only some of the runtime's helpers: keep the unused
+  // rest from warning in user builds. Warnings about the program's own
+  // code still show.
+  out << "#pragma GCC diagnostic push\n"
+         "#pragma GCC diagnostic ignored \"-Wunused-function\"\n";
   if (instr) {
     // The prof runtime precedes the prelude: its MMX_PROF_* macros expand
     // the hook lines the prelude carries. When instrumentation is off
@@ -1782,6 +1787,7 @@ CEmitResult emitC(const Module& m, const CEmitOptions& opts) {
   } else {
     out << stripProfLines(kPrelude);
   }
+  out << "#pragma GCC diagnostic pop\n";
   out << "\n/* ---- forward declarations ---- */\n";
   for (const auto& f : m.functions)
     out << FnEmitter::signature(*f, nullptr) << ";\n";

@@ -393,6 +393,63 @@ int main() {
       << fr.err;
 }
 
+TEST(CEmit, VectorGatherOutOfBoundsFailsInBothBackends) {
+  // v[i + 1] under `vectorize i` reads one element past v in the last
+  // vector. Shapecheck keeps that one guard under =auto (it elides every
+  // guard of the v[i] variant), so at =on and =auto both backends fail
+  // with the interpreter's message: mmc and the emitted binary exit 3.
+  auto prog = [](const std::string& index) {
+    return R"(
+int main() {
+  int n = 8;
+  Matrix int <1> v = with ([0] <= [i] < [n]) genarray([n], i);
+  Matrix int <1> w = with ([0] <= [i] < [n]) genarray([n], )" +
+           index + R"()
+      transform { vectorize i; };
+  printInt(w[7]);
+  return 0;
+})";
+  };
+  for (auto mode : {ir::BoundsCheckMode::On, ir::BoundsCheckMode::Auto})
+    for (std::string index : {"v[i + 1]", "v[i]"}) {
+      bool oob = index != "v[i]";
+      std::string tag = std::string("vgather_") +
+                        (mode == ir::BoundsCheckMode::On ? "on" : "auto") +
+                        (oob ? "_oob" : "_ok");
+      driver::TranslateOptions opts;
+      opts.boundsChecks = mode;
+      auto res = translateXc(prog(index), opts);
+      ASSERT_TRUE(res.ok) << res.renderDiagnostics();
+      auto exec = rt::makeExecutor(rt::ExecutorKind::Serial, 1);
+      interp::Machine vm(*res.module, *exec);
+      vm.setBoundsChecks(res.boundsChecks, res.guardPlan);
+      std::string interpErr;
+      try {
+        vm.runMain();
+      } catch (const std::exception& e) {
+        interpErr = e.what();
+      }
+      ir::CEmitOptions co;
+      co.boundsChecks = res.boundsChecks;
+      co.plan = res.guardPlan;
+      auto c = ir::emitC(*res.module, co);
+      ASSERT_TRUE(c.ok) << (c.errors.empty() ? "" : c.errors.front());
+      if (oob) {
+        EXPECT_NE(interpErr.find("vector load out of bounds"),
+                  std::string::npos)
+            << tag << ": " << interpErr;
+        FailRun fr = compileAndRunFail(c.code, tag.c_str());
+        EXPECT_EQ(fr.exitCode, 3) << tag << ": " << fr.err;
+        EXPECT_NE(fr.err.find("vector load out of bounds"), std::string::npos)
+            << tag << ": " << fr.err;
+      } else {
+        EXPECT_EQ(interpErr, "") << tag;
+        EXPECT_EQ(vm.output(), "7\n") << tag;
+        EXPECT_EQ(compileAndRun(c.code, tag.c_str()), "7\n") << tag;
+      }
+    }
+}
+
 TEST(CEmit, MaskStoreCompiledMatchesInterpreter) {
   // Masked assignment with a runtime threshold (float mask path).
   std::string src = R"(
@@ -735,6 +792,41 @@ TEST(CEmit, CacheCountersMatchInterpreterExactly) {
   // intact: the parked bytes agree too (cachedBytes was 0 post-trim).
   EXPECT_EQ(jsonCounter(stats, "rt.alloc.cache.cachedBytes"),
             static_cast<long long>(after.cachedBytes));
+}
+
+TEST(CEmit, DefaultEmissionCarriesTheSharedAllocatorSource) {
+  // memsys.cpp compiles runtime/c/memsys.c; every emitted program carries
+  // the same file, byte for byte.
+  std::string shared = slurpFile(MMX_MEMSYS_C);
+  ASSERT_FALSE(shared.empty()) << MMX_MEMSYS_C;
+  std::string c = emitOk(kAllocChurnProgram);
+  EXPECT_NE(c.find(shared), std::string::npos);
+}
+
+TEST(CEmit, UnusedRuntimeHelpersDoNotWarn) {
+  // A program calls only some of the runtime's helpers. The rest must not
+  // trip -Wunused-function in a user's warning build, with or without the
+  // instrumentation runtime.
+  auto res = translateXc(kAllocChurnProgram);
+  ASSERT_TRUE(res.ok) << res.renderDiagnostics();
+  for (auto mode : {ir::InstrumentMode::Off, ir::InstrumentMode::Counters}) {
+    ir::CEmitOptions eo;
+    eo.boundsChecks = res.boundsChecks;
+    eo.plan = res.guardPlan;
+    eo.instrument = mode;
+    auto c = ir::emitC(*res.module, eo);
+    ASSERT_TRUE(c.ok) << (c.errors.empty() ? "" : c.errors.front());
+    std::string base = std::string(::testing::TempDir()) + "cemit_unused_" +
+                       (mode == ir::InstrumentMode::Off ? "off" : "counters");
+    std::ofstream(base + ".c") << c.code;
+    int rc = std::system(("cc -O1 -std=gnu99 -msse4.2 -fopenmp -Wall -Wextra "
+                          "-Werror=unused-function -c " +
+                          base + ".c -o " + base + ".o 2>" + base + ".err")
+                             .c_str());
+    EXPECT_EQ(rc, 0) << slurpFile(base + ".err");
+    for (const char* ext : {".c", ".o", ".err"})
+      std::remove((base + ext).c_str());
+  }
 }
 
 TEST(CEmit, RefcountProgramCompiles) {
