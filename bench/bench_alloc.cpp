@@ -3,7 +3,7 @@
 // mutex-protected malloc scales poorly under parallel contention and that
 // arena designs behave better. ISSUE 9 promotes that observation into the
 // production memory subsystem (runtime/memsys.hpp): the rows below compare
-// the three selectable strategies — system (per-block new/delete), cache
+// the three selectable strategies — system (per-block malloc/free), cache
 // (thread-caching magazines over size classes), arena (per-thread bump
 // chunks) — on raw parallel churn, on matrix churn through the refcount
 // cells, and on an interpreted with-loop chain, plus one global mutex

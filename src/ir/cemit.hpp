@@ -68,9 +68,9 @@ struct CEmitOptions {
   /// carries the prelude's mmx_ms_* allocator with all three strategies:
   /// "auto" (the default) consults $MMX_ALLOC at startup and otherwise
   /// uses the cache strategy; an explicit name is baked in as
-  /// MMX_ALLOC_DEFAULT, the only difference in the output. The mmx_ms_*
-  /// policy constants mirror src/runtime/memsys.cpp verbatim (see its
-  /// header comment) so the rt.alloc.cache.* counters match the
+  /// MMX_ALLOC_DEFAULT, the only difference in the output. The allocator
+  /// mechanism is src/runtime/c/memsys.c, which the interpreter's
+  /// memsys.cpp compiles too, so the rt.alloc.cache.* counters match the
   /// interpreter exactly on single-threaded runs.
   std::string alloc = "auto";
 };

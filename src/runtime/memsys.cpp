@@ -133,6 +133,8 @@ struct ThreadHook {
     std::lock_guard<std::mutex> lock(r.mu);
     r.live.push_back(&slots);
   }
+  ThreadHook(const ThreadHook&) = delete;
+  ThreadHook& operator=(const ThreadHook&) = delete;
 
   ~ThreadHook() {
     t_state = kExited;

@@ -3,7 +3,7 @@
 // behind one selection surface mirroring the kernel-backend registry
 // (backend.hpp):
 //
-//   system — ::operator new / delete per block (the historical default);
+//   system — malloc / free per block (the historical default);
 //   cache  — thread-caching size-class allocator: per-thread magazine
 //            free-lists over 16-byte size classes with a bounded central
 //            depot (the depot lock is touched only on refill/flush),

@@ -224,6 +224,21 @@ TEST(Memsys, ArenaDefersFreesUntilTrim) {
   msTrim();
 }
 
+TEST(Memsys, ArenaBlocksOutliveTheirThreadUntilTrim) {
+  AllocatorOverride pin("arena");
+  char* p = nullptr;
+  std::thread worker([&] {
+    p = static_cast<char*>(msAlloc(100));
+    std::memset(p, 0x33, 100);
+  });
+  worker.join();
+  // The worker's thread-local arena state died with it; its chunk did not.
+  EXPECT_EQ(p[0], 0x33);
+  EXPECT_EQ(p[99], 0x33);
+  msFree(p);
+  msTrim(); // returns the exited thread's chunk (LeakSanitizer checks it)
+}
+
 TEST(Memsys, HeaderRoutesFreeToOriginAfterSelectionChange) {
   void* cacheBlock;
   {
