@@ -922,6 +922,7 @@ LoopFinding ParSafe::classifyLoop(const ir::Function& f,
       out.vars.push_back(slot);
     }
     out.detail = std::move(d);
+    out.reds = std::move(reductions);
     return out;
   }
   out.cls = LoopClass::Safe;
@@ -954,7 +955,11 @@ std::vector<LoopFinding> enforceParallelSafety(ir::Module& m,
       if (s.parSrc == ir::Stmt::Par::Proven) return;
       ++checked;
       LoopFinding lf = ps.classifyLoop(*f, s);
-      if (lf.cls == LoopClass::Safe) return;
+      auto reds = s.reds;
+      std::sort(reds.begin(), reds.end());
+      if (lf.cls == LoopClass::Safe ||
+          (lf.cls == LoopClass::Reduction && lf.reds == reds))
+        return;
 
       s.parallel = false; // never execute a racy schedule
       bool explicitReq = s.parSrc == ir::Stmt::Par::Explicit;

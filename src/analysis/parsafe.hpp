@@ -12,10 +12,11 @@
 //               value from one iteration to the next, and the body has
 //               no IO or other observable side effects.
 //   Reduction — the only loop-carried dependence is `acc = acc op e`
-//               with op in {+, *, min, max}. Recognized so drivers can
-//               report it distinctly; the interpreter's parallel-for
-//               gives workers private frames (scalar writes are
-//               discarded), so reductions still must run serially today.
+//               with op in {+, *, min, max}. A loop whose `reds` name
+//               exactly these accumulators stays parallel: both backends
+//               give each iteration its own partial and combine the
+//               partials in index order (ir::Stmt::reds). Any other
+//               reduction runs serially.
 //   Unsafe    — a data race or semantic change was detected (or could
 //               not be ruled out): overlapping matrix stores, a scalar
 //               read-before-write across iterations, IO, break from the
@@ -27,10 +28,11 @@
 // conservatively rejected.
 //
 // enforceParallelSafety applies the policy: auto-parallelized loops that
-// are not Safe are demoted to serial (warning under -Wparallel); loops
-// the user explicitly marked with `parallelize` raise an error under
-// --strict-parallel (warning otherwise) and are demoted too, so the
-// interpreter never executes a racy schedule.
+// are neither Safe nor a Reduction on exactly their `reds` are demoted to
+// serial (warning under -Wparallel); loops the user explicitly marked
+// with `parallelize` raise an error under --strict-parallel (warning
+// otherwise) and are demoted too, so the interpreter never executes a
+// racy schedule.
 #pragma once
 
 #include <map>
@@ -73,6 +75,8 @@ struct LoopFinding {
   std::string detail;
   /// Slots of the offending (Unsafe) or accumulating (Reduction) locals.
   std::vector<int32_t> vars;
+  /// Reduction: the accumulators and their operators, by slot.
+  std::vector<std::pair<int32_t, ir::ArithOp>> reds;
 };
 
 /// The analysis context: builds call summaries and per-function constant
@@ -107,7 +111,8 @@ struct ParSafeOptions {
 };
 
 /// Runs ParSafe over `m` and demotes every `parallel` For whose
-/// classification is not Safe (clearing Stmt::parallel in place).
+/// classification is not Safe, nor a Reduction on exactly the loop's
+/// `reds` (clearing Stmt::parallel in place; `reds` stay).
 /// Diagnostics name the loop and the offending variables:
 ///   - auto-parallelized (Par::Auto): warning when opts.warnParallel;
 ///   - explicit `parallelize` (Par::Explicit): error when

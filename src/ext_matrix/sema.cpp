@@ -548,9 +548,14 @@ ExprRes lowerWith(Sema& s, const ast::NodePtr& n) {
     ir::StmtPtr innerBody = s.popBlock();
 
     ir::StmtPtr nest = buildNest(g, std::move(innerBody));
-    // Folds stay serial (the enclosing genarray loop is the parallel one);
-    // a transform tail may still restructure them.
-    nest = applyTail(s, tail, std::move(nest), /*allowAutoParallel=*/false);
+    // A fold over two or more dimensions reduces row by row: the outer loop
+    // carries the reduction and runs parallel, and both backends combine the
+    // per-row partials in row order. 1-D folds, whose partials would be the
+    // elements, stay serial, and a transform tail restructures the nest as
+    // written.
+    bool rows = rank >= 2 && tail->is("withtail_none");
+    nest = applyTail(s, tail, std::move(nest), /*allowAutoParallel=*/rows);
+    if (rows) nest->reds = {{acc, fop}};
     s.emit(std::move(nest));
     result = ExprRes{base.type, ir::var(acc, Sema::lowerTy(base.type))};
   }

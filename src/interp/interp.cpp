@@ -6,6 +6,7 @@
 #include <mutex>
 #include <sstream>
 #include <unordered_map>
+#include <utility>
 
 #include "runtime/conncomp.hpp"
 #include "runtime/eddy.hpp"
@@ -134,6 +135,13 @@ template <class T> T scalarArith(ArithOp op, T a, T b) {
     case ArithOp::Max: return a > b ? a : b;
   }
   fail("bad arith op");
+}
+
+/// `a op b` for a fold reduction's accumulator and one partial.
+Value combine(ArithOp op, const Value& a, const Value& b) {
+  if (tyOf(a) == Ty::F32 || tyOf(b) == Ty::F32)
+    return scalarArith(op, asF(a), asF(b));
+  return scalarArith(op, asI(a), asI(b));
 }
 
 template <class T> bool scalarCmp(CmpKind op, T a, T b) {
@@ -316,13 +324,30 @@ private:
     }
     if (s.vecWidth == 4 && hi - lo >= 4) return execVectorFor(s, lo, hi);
 
+    // Serial fold reductions combine each iteration's partial as soon as
+    // it is complete: the association of the parallel schedule.
+    std::vector<Value> ident = identities(s), saved(s.reds.size());
     for (int64_t i = lo; i < hi; ++i) {
       locals_[s.slot] = static_cast<int32_t>(i);
+      for (size_t r = 0; r < s.reds.size(); ++r)
+        saved[r] = std::exchange(locals_[s.reds[r].first], ident[r]);
       Flow fl = exec(*s.kids[0]);
+      for (size_t r = 0; r < s.reds.size(); ++r) {
+        Value& acc = locals_[s.reds[r].first];
+        acc = combine(s.reds[r].second, saved[r], acc);
+      }
       if (fl == Flow::Break) break;
       if (fl == Flow::Return) return fl;
     }
     return Flow::Normal;
+  }
+
+  /// The value each of the loop's reduction slots starts an iteration at.
+  std::vector<Value> identities(const Stmt& s) {
+    std::vector<Value> out;
+    for (const auto& [slot, op] : s.reds)
+      out.push_back(eval(*ir::reductionIdentity(op, f_.locals[slot].ty)));
+    return out;
   }
 
   void execParallelFor(const Stmt& s, int64_t lo, int64_t hi) {
@@ -334,13 +359,22 @@ private:
     std::string errMsg;
     std::mutex errMu;
 
+    // Fold reductions: one partial per iteration and slot, combined in
+    // index order once every worker is done.
+    const size_t nr = s.reds.size();
+    std::vector<Value> ident = identities(s);
+    std::vector<Value> parts(static_cast<size_t>(hi - lo) * nr);
+
     struct Ctx {
       const Stmt* s;
       Exec* self;
       std::atomic<bool>* failed;
       std::string* errMsg;
       std::mutex* errMu;
-    } ctx{&s, this, &failed, &errMsg, &errMu};
+      const std::vector<Value>* ident;
+      std::vector<Value>* parts;
+      int64_t lo;
+    } ctx{&s, this, &failed, &errMsg, &errMu, &ident, &parts, lo};
 
     // Grain 2: a one-iteration "parallel" loop runs inline on the calling
     // thread instead of paying a pool release/park round-trip; anything
@@ -354,9 +388,15 @@ private:
           try {
             Exec worker(x->self->m_, x->self->f_, /*inParallel=*/true);
             worker.locals_ = x->self->locals_;
+            const auto& reds = x->s->reds;
             for (int64_t i = clo; i < chi; ++i) {
               worker.locals_[x->s->slot] = static_cast<int32_t>(i);
+              for (size_t r = 0; r < reds.size(); ++r)
+                worker.locals_[reds[r].first] = (*x->ident)[r];
               worker.exec(*x->s->kids[0]);
+              for (size_t r = 0; r < reds.size(); ++r)
+                (*x->parts)[(i - x->lo) * reds.size() + r] =
+                    std::move(worker.locals_[reds[r].first]);
             }
           } catch (const std::exception& e) {
             std::lock_guard<std::mutex> lock(*x->errMu);
@@ -367,6 +407,10 @@ private:
         &ctx);
 
     if (failed.load()) fail("parallel loop: " + errMsg);
+    for (size_t k = 0; k < parts.size(); ++k) {
+      const auto& [slot, op] = s.reds[k % nr];
+      locals_[slot] = combine(op, locals_[slot], parts[k]);
+    }
   }
 
   Flow execVectorFor(const Stmt& s, int64_t lo, int64_t hi) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstring>
 #include <set>
 #include <sstream>
@@ -856,6 +857,7 @@ std::string escapeC(const std::string& s) {
 }
 
 std::string floatLit(float f) {
+  if (std::isinf(f)) return f > 0 ? "INFINITY" : "(-INFINITY)";
   std::ostringstream o;
   o.precision(9);
   o << f;
@@ -1449,8 +1451,17 @@ private:
       if (k) collectVecAssigned(*k, out);
   }
 
+  /// `a op b` for a fold reduction on `slot`'s type (the interp's combine).
+  std::string combine(int32_t slot, ArithOp op, const std::string& a,
+                      const std::string& b) const {
+    return (f_.locals[slot].ty == Ty::F32 ? "mmx_opf(" : "mmx_opi(") +
+           std::to_string(ewOpCode(op)) + ", " + a + ", " + b + ")";
+  }
+
   void emitFor(const Stmt& s) {
-    if (s.parallel) {
+    // A fold reduction inside a parallel body takes the serial form below:
+    // no nested region, no partials buffer.
+    if (s.parallel && (s.reds.empty() || temps_ == &fnTemps_)) {
       emitParallelFor(s);
       return;
     }
@@ -1467,7 +1478,21 @@ private:
     line() << "for (" << v << " = " << lo << "; " << v << " < " << hiv
            << "; " << v << "++) {\n";
     ++indent_;
+    // Serial fold reductions combine each iteration's partial as soon as it
+    // is complete: the association of the parallel form.
+    std::vector<std::string> saved;
+    for (const auto& [slot, op] : s.reds) {
+      saved.push_back("__rs" + std::to_string(tempId_++));
+      line() << cTy(f_.locals[slot].ty) << ' ' << saved.back() << " = "
+             << names_[slot] << "; " << names_[slot] << " = "
+             << expr(*reductionIdentity(op, f_.locals[slot].ty)) << ";\n";
+    }
     stmt(*s.kids[0]);
+    for (size_t r = 0; r < s.reds.size(); ++r) {
+      const auto& [slot, op] = s.reds[r];
+      line() << names_[slot] << " = "
+             << combine(slot, op, saved[r], names_[slot]) << ";\n";
+    }
     --indent_;
     line() << "}\n";
     --indent_;
@@ -1478,6 +1503,7 @@ private:
     std::set<int32_t> assigned;
     assigned.insert(s.slot);
     collectAssigned(*s.kids[0], assigned);
+    for (const auto& red : s.reds) assigned.insert(red.first);
 
     // One span per dynamic execution of the with-loop, attributed to its
     // source line — the region the paper parallelizes is the unit a
@@ -1496,15 +1522,25 @@ private:
     std::string hi = expr(*s.exprs[1]);
     line() << "{ long long __plo = " << lo << ", __phi = " << hi << ";\n";
     ++indent_;
+    // Fold reductions: each iteration stores its partial, and the partials
+    // are combined in index order after the loop.
+    for (size_t r = 0; r < s.reds.size(); ++r)
+      line() << "mmx_part* __rp" << r << " = mmx_parts_new(__phi - __plo);\n";
     line() << "#pragma omp parallel for\n";
     line() << "for (long long __t = __plo; __t < __phi; __t++) {\n";
     ++indent_;
     // Per-iteration shadows of everything the body assigns: private by
-    // construction, with or without OpenMP.
+    // construction, with or without OpenMP. A reduction's shadow starts at
+    // the identity.
     for (int32_t slot : assigned) {
       Ty t = f_.locals[slot].ty;
+      auto red = std::find_if(s.reds.begin(), s.reds.end(),
+                              [&](const auto& r) { return r.first == slot; });
       if (slot == s.slot) {
         line() << "int " << names_[slot] << " = (int)__t;\n";
+      } else if (red != s.reds.end()) {
+        line() << cTy(t) << ' ' << names_[slot] << " = "
+               << expr(*reductionIdentity(red->second, t)) << ";\n";
       } else {
         line() << cTy(t) << ' ' << names_[slot]
                << (t == Ty::Mat ? " = NULL" : " = 0") << ";\n";
@@ -1527,8 +1563,19 @@ private:
         line() << "mmx_release(" << names_[slot] << ");\n";
     for (const std::string& t : iterTemps)
       line() << "mmx_release(" << t << ");\n";
+    for (size_t r = 0; r < s.reds.size(); ++r)
+      line() << "__rp" << r << "[__t - __plo]."
+             << (f_.locals[s.reds[r].first].ty == Ty::F32 ? "f" : "i")
+             << " = " << names_[s.reds[r].first] << ";\n";
     --indent_;
     line() << "}\n";
+    for (size_t r = 0; r < s.reds.size(); ++r) {
+      const auto& [slot, op] = s.reds[r];
+      bool flt = f_.locals[slot].ty == Ty::F32;
+      line() << "mmx_parts_end(" << ewOpCode(op) << ", "
+             << (flt ? "&" + names_[slot] + ", 0" : "0, &" + names_[slot])
+             << ", __rp" << r << ", __phi - __plo);\n";
+    }
     --indent_;
     line() << "}\n";
     if (!site.empty()) {

@@ -1,6 +1,7 @@
 #include "ir/ir.hpp"
 
 #include <iterator>
+#include <limits>
 #include <sstream>
 
 namespace mmx::ir {
@@ -173,6 +174,19 @@ ExprPtr dimSize(ExprPtr mat, ExprPtr d) {
   return e;
 }
 
+ExprPtr reductionIdentity(ArithOp op, Ty ty) {
+  using F = std::numeric_limits<float>;
+  using I = std::numeric_limits<int32_t>;
+  bool f = ty == Ty::F32;
+  switch (op) {
+    case ArithOp::Mul: return f ? constF(1.0f) : constI(1);
+    case ArithOp::Min: return f ? constF(F::infinity()) : constI(I::max());
+    case ArithOp::Max: return f ? constF(-F::infinity()) : constI(I::min());
+    // +: -0.0f, since -0 + x is x for every x, and 0 + -0 is not -0.
+    default: return f ? constF(-0.0f) : constI(0);
+  }
+}
+
 static IndexDim cloneDim(const IndexDim& d) {
   IndexDim o;
   o.kind = d.kind;
@@ -281,6 +295,7 @@ StmtPtr cloneStmt(const Stmt& s) {
   n->parSrc = s.parSrc;
   n->vecWidth = s.vecWidth;
   n->loopName = s.loopName;
+  n->reds = s.reds;
   return n;
 }
 
@@ -428,6 +443,9 @@ private:
       case Stmt::K::For: {
         line();
         if (s.parallel) out_ << "#pragma parallel\n", line();
+        for (const auto& [slot, op] : s.reds)
+          out_ << "#pragma reduction(" << arithName(op) << ": " << lv(slot)
+               << ")\n", line();
         if (s.vecWidth > 1) out_ << "#pragma vectorize " << s.vecWidth << "\n",
             line();
         out_ << "for (" << lv(s.slot) << " = " << expr(*s.exprs[0]) << "; "

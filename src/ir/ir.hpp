@@ -162,7 +162,17 @@ struct Stmt {
   Par parSrc = Par::None;
   int vecWidth = 1;      // 4 => SSE-vectorized (paper §V)
   std::string loopName;  // source index name; transform clauses target this
+  /// Fold reductions (slot, op) over the iterations, in both backends and
+  /// whether or not the loop runs parallel: iteration i starts each slot at
+  /// reductionIdentity(op) and leaves its partial p_i there; after the loop
+  /// slot = (...((slot op p_lo) op p_lo+1)...) op p_hi-1. So the result does
+  /// not depend on the schedule or the thread count.
+  std::vector<std::pair<int32_t, ArithOp>> reds;
 };
+
+/// The identity of a reduction `op` on `ty` (I32 or F32): 0 or -0.0f for
+/// +, 1 for *, the largest value for min and the smallest for max.
+ExprPtr reductionIdentity(ArithOp op, Ty ty);
 
 StmtPtr block(std::vector<StmtPtr> kids);
 StmtPtr assign(int32_t slot, ExprPtr e);

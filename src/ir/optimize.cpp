@@ -660,12 +660,16 @@ bool tryFuse(Ctx& c, Stmt& blk, size_t i, VN& env) {
     rewriteStmt(*copy, rw);
     inner->kids.push_back(std::move(copy));
   }
-  // 3. Reconcile parallel flags (demote mismatches to serial).
+  // 3. Reconcile parallel flags (demote mismatches to serial). The
+  //    consumer's fold reductions move along whatever the schedule: they
+  //    fix the association, so the fused nest sums as the consumer did.
   for (size_t k = 0; k < P.levels.size(); ++k) {
     if (C.levels[k]->parallel != P.levels[k]->parallel) {
       P.levels[k]->parallel = false;
       P.levels[k]->parSrc = Stmt::Par::None;
     }
+    auto& reds = P.levels[k]->reds;
+    reds.insert(reds.end(), C.levels[k]->reds.begin(), C.levels[k]->reds.end());
   }
   // 4. The fused nest takes the consumer's position (after the glue).
   blk.kids[j] = std::move(blk.kids[i]);
@@ -1264,10 +1268,11 @@ void runAutopar(Module& m, OptStats& stats) {
     if (!f || !f->body) continue;
     // Outermost-first: a promoted loop's subtree is left alone (nested
     // parallelism would oversubscribe the pool; the interp runs nested
-    // parallel loops serially anyway).
+    // parallel loops serially anyway), and so is a fold reduction's.
     std::function<void(Stmt&)> rec = [&](Stmt& s) {
       if (s.k == Stmt::K::For) {
-        if (s.parallel || tryPromote(dep, *f, s, stats)) return;
+        if (s.parallel || !s.reds.empty() || tryPromote(dep, *f, s, stats))
+          return;
         for (auto& k : s.kids)
           if (k) rec(*k);
         return;

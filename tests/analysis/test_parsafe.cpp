@@ -288,13 +288,16 @@ TEST(ParSafeLang, ParallelizeOnFoldAccumulatorWarnsAndDemotes) {
       << res.renderDiagnostics();
   EXPECT_NE(res.renderDiagnostics().find("warning"), std::string::npos)
       << res.renderDiagnostics();
-  // The fold loop lost its pragma; the safe explicit i loop keeps its own.
+  // The fold loop lost its pragma; the safe explicit i loop keeps its own,
+  // and so does the checksum's 2-D fold, whose reduction is annotated.
   std::string irText = ir::dump(*res.module);
   size_t pragmas = 0;
   for (size_t p = irText.find("#pragma parallel"); p != std::string::npos;
        p = irText.find("#pragma parallel", p + 1))
     ++pragmas;
-  EXPECT_EQ(pragmas, 1u) << irText;
+  EXPECT_EQ(pragmas, 2u) << irText;
+  EXPECT_NE(irText.find("#pragma reduction(+: %wacc"), std::string::npos)
+      << irText;
 }
 
 TEST(ParSafeLang, StrictParallelFailsTranslationOnUnsafeClause) {

@@ -244,9 +244,11 @@ int main() {
     ASSERT_TRUE(c.ok);
     EXPECT_EQ(compileAndRun(c.code, tag), base) << tag;
   }
+  // Only the `rep` loop reaches autopar: the checksum fold's loops carry a
+  // reduction, which autopar leaves alone.
   EXPECT_EQ(counterLine(src, o1Autopar),
             "optimizer: fused=0 temps-eliminated=0 inplace=0 "
-            "alias-blocked=0 autopar-promoted=0 autopar-blocked=3");
+            "alias-blocked=0 autopar-promoted=0 autopar-blocked=1");
   std::remove(aPath.c_str());
   std::remove(bPath.c_str());
 }
