@@ -139,6 +139,36 @@ TEST(ParSafe, ReductionIsClassifiedAndStillDemoted) {
             std::string::npos);
 }
 
+TEST(ParSafe, AnnotatedFoldReductionStaysParallel) {
+  // A loop whose `reds` name exactly its reduction combines per-iteration
+  // partials in both backends, so it keeps its schedule. Annotated with
+  // another operator it is demoted, and keeps its `reds`.
+  for (ir::ArithOp op : {ir::ArithOp::Add, ir::ArithOp::Mul}) {
+    ir::Module m;
+    ir::Function* f = scaffold(m);
+    std::vector<ir::StmtPtr> body;
+    body.push_back(ir::assign(2, ir::constF(0.f)));
+    ir::StmtPtr loop = parLoop(
+        ir::assign(2, ir::arith(ir::ArithOp::Add, ir::var(2, ir::Ty::F32),
+                                ir::loadFlat(ir::var(0, ir::Ty::Mat),
+                                             ir::var(1, ir::Ty::I32),
+                                             ir::Ty::F32),
+                                ir::Ty::F32)),
+        ir::Stmt::Par::Auto);
+    loop->reds = {{2, op}};
+    body.push_back(std::move(loop));
+    f->body = ir::block(std::move(body));
+
+    DiagnosticEngine diags;
+    auto demoted = analysis::enforceParallelSafety(m, diags, {});
+    bool exact = op == ir::ArithOp::Add;
+    EXPECT_EQ(demoted.empty(), exact) << ir::arithName(op);
+    EXPECT_EQ(findFor(*f)->parallel, exact) << ir::arithName(op);
+    ASSERT_EQ(findFor(*f)->reds.size(), 1u);
+    EXPECT_EQ(findFor(*f)->reds[0].second, op);
+  }
+}
+
 TEST(ParSafe, OverlappingStoresAreUnsafe) {
   ir::Module m;
   ir::Function* f = scaffold(m);

@@ -2,6 +2,7 @@
 // structures of Figs. 10-11 (OpenMP pragma, SSE intrinsics, split loops),
 // and (b) actually compile with the system C compiler and produce the
 // same results as the interpreter.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -986,6 +987,79 @@ TEST(CEmit, MaterializedSliceTemporariesArePerIteration) {
   noSliceElim.sliceElimination = false;
   expectEmittedAgreesEverywhere(temporalMeanProgram(in.path), noSliceElim,
                                 "tmean_noslice");
+}
+
+// ---- fold reductions ----------------------------------------------------
+
+/// 2x1000 floats: row 0 is 1e8 then zeros, row 1 all ones. Float spacing
+/// at 1e8 is 8, so one running sum loses every 1, while row by row the
+/// ones first add up to 1000.
+void writeRowsInput(const std::string& path) {
+  std::vector<float> v(2000, 0.f);
+  v[0] = 1e8f;
+  std::fill(v.begin() + 1000, v.end(), 1.f);
+  rt::writeMatrixFile(path, rt::Matrix::fromF32({2, 1000}, v));
+}
+
+/// Runs `src` on the interpreter at -O0 and -O1 on 1, 4 and 8 threads,
+/// expecting `want` every time, then its emitted C from both levels at
+/// OMP_NUM_THREADS=1,4,8 under every allocator.
+void expectPrintsEverywhere(const std::string& src, const std::string& want,
+                            const std::string& tag) {
+  driver::TranslateOptions o1;
+  o1.optFuse = o1.optElimTemp = o1.optInplace = o1.optAutopar = true;
+  for (unsigned t : {1u, 4u, 8u}) {
+    EXPECT_EQ(runOk(src, t), want) << "-O0, " << t << " threads";
+    EXPECT_EQ(runOk(src, t, o1), want) << "-O1, " << t << " threads";
+  }
+  expectEmittedAgreesEverywhere(src, {}, tag + "_o0");
+  expectEmittedAgreesEverywhere(src, o1, tag + "_o1");
+}
+
+TEST(CEmit, MultiDimensionalFoldSumsRowByRow) {
+  // A fold over two dimensions combines per-row partials in row order, in
+  // both backends, at every thread count and -O level; a 1-D fold is one
+  // running sum. The genarray's inner fold runs inside a parallel body.
+  TempPath in("cemit_rows_in.mmx");
+  writeRowsInput(in.path);
+  std::string src = R"(
+int main() {
+  Matrix float <2> m = readMatrix(")" + in.path + R"(");
+  int r = dimSize(m, 0);
+  int c = dimSize(m, 1);
+  printFloat(with ([0,0] <= [x,y] < [r,c]) fold(+, 0.0, m[x, y]));
+  printFloat(with ([0] <= [k] < [r * c]) fold(+, 0.0, m[k / c, k % c]));
+  Matrix float <1> s = with ([0] <= [t] < [3])
+    genarray([3], with ([0,0] <= [x,y] < [r,c]) fold(+, 0.0, m[x, y]) + t);
+  printFloat(s[2]);
+  return 0;
+})";
+  expectPrintsEverywhere(src, "1.00001e+08\n1e+08\n1.00001e+08\n", "rows");
+}
+
+TEST(CEmit, IntegerAndBasedFoldReductionsAgreeEverywhere) {
+  // min, max and * over a 2-D int input, and + from a base of 5, which
+  // counts once (not once per row).
+  TempPath ints("cemit_redi_in.mmx"), rows("cemit_redf_in.mmx");
+  std::vector<int32_t> v(15);
+  for (int k = 0; k < 15; ++k) v[k] = k % 3 == 0 ? -1 : k % 3; // -1, 1, 2
+  rt::writeMatrixFile(ints.path, rt::Matrix::fromI32({3, 5}, v));
+  writeRowsInput(rows.path);
+  std::string src = R"(
+int main() {
+  Matrix int <2> im = readMatrix(")" + ints.path + R"(");
+  Matrix float <2> m = readMatrix(")" + rows.path + R"(");
+  int r = dimSize(im, 0);
+  int c = dimSize(im, 1);
+  printInt(with ([0,0] <= [x,y] < [r,c]) fold(min, 7, im[x, y]));
+  printInt(with ([0,0] <= [x,y] < [r,c]) fold(max, -7, im[x, y]));
+  printInt(with ([0,0] <= [x,y] < [r,c]) fold(*, 3, im[x, y]));
+  printFloat(with ([0,0] <= [x,y] < [r,c]) fold(+, 5.0, im[x, y]));
+  printFloat(with ([0,0] <= [x,y] < [dimSize(m, 0), dimSize(m, 1)])
+    fold(+, 5.0, m[x, y]));
+  return 0;
+})";
+  expectPrintsEverywhere(src, "-1\n2\n-96\n15\n1.00001e+08\n", "redi");
 }
 
 } // namespace

@@ -206,6 +206,35 @@ TEST(Optimize, EmittedCAgreesAcrossOptLevels) {
   }
 }
 
+TEST(Optimize, FusedFig1FoldKeepsItsParallelReduction) {
+  // Fusion pulls Fig. 1's genarray into the checksum fold. The fused outer
+  // loop stays parallel and takes over the fold's reduction, so -O1 sums
+  // row by row, as -O0 does.
+  const char* src = R"(
+int main() {
+  Matrix float <3> mat = synthSsh(12, 24, 16, 42, 6);
+  int m = dimSize(mat, 0);
+  int n = dimSize(mat, 1);
+  int p = dimSize(mat, 2);
+  Matrix float <2> means = init(Matrix float <2>, m, n);
+  means = with ([0,0] <= [i,j] < [m,n])
+    genarray([m,n],
+      (with ([0] <= [k] < [p]) fold(+, 0.0, mat[i,j,k])) / p);
+  printFloat(with ([0,0] <= [x,y] < [m,n]) fold(+, 0.0, means[x,y]));
+  return 0;
+})";
+  auto res = translateXc(src, o1());
+  ASSERT_TRUE(res.ok) << res.renderDiagnostics();
+  std::string irText = ir::dump(*res.module);
+  EXPECT_EQ(irText.find("for (x = "), std::string::npos) << irText;
+  EXPECT_NE(irText.find("  #pragma parallel\n"
+                        "  #pragma reduction(+: %wacc24)\n"
+                        "  for (i = "),
+            std::string::npos)
+      << irText;
+  expectAgreement(src);
+}
+
 TEST(Optimize, AutoparBlocksLoopThatRebindsAMatrixHandle) {
   // `c = a * b` rebinds c in every iteration and c is read after the loop,
   // so autopar must leave the `rep` loop serial: a parallel schedule
