@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <set>
 #include <sstream>
 #include <string_view>
@@ -935,10 +936,13 @@ public:
     fn << signature(f_, &names_) << " {\n";
     for (const std::string& t : fnTemps_)
       fn << "  mmx_mat* " << t << " = NULL;\n";
-    // Local declarations.
+    // Local declarations: only of the locals that code outside a parallel
+    // body's shadows names.
+    std::vector<bool> used(f_.locals.size());
+    markUsed(*f_.body, nullptr, used);
     for (size_t i = f_.numParams; i < f_.locals.size(); ++i) {
       Ty t = f_.locals[i].ty;
-      if (t == Ty::Void) continue;
+      if (t == Ty::Void || !used[i]) continue;
       fn << "  " << cTy(t) << ' ' << names_[i]
          << (t == Ty::Mat ? " = NULL" : t == Ty::Str ? " = \"\"" : " = 0")
          << ";\n";
@@ -955,7 +959,7 @@ public:
     for (const std::string& t : fnTemps_)
       fn << "  mmx_release(" << t << ");\n";
     for (size_t i = 0; i < f_.locals.size(); ++i)
-      if (f_.locals[i].ty == Ty::Mat &&
+      if (f_.locals[i].ty == Ty::Mat && (i < f_.numParams || used[i]) &&
           !(i < f_.numParams && borrowed.count((int32_t)i)))
         fn << "  mmx_release(" << names_[i] << ");\n";
     if (f_.rets.size() == 1) fn << "  return __ret;\n";
@@ -1131,9 +1135,9 @@ private:
         return flt ? "fmodf(" + a + ", " + b + ")"
                    : "mmx_opi(4, " + a + ", " + b + ")";
       case ArithOp::Min:
-        return (flt ? "mmx_min_f(" : "mmx_min_i(") + a + ", " + b + ")";
       case ArithOp::Max:
-        return (flt ? "mmx_max_f(" : "mmx_max_i(") + a + ", " + b + ")";
+        return (flt ? "mmx_opf(" : "mmx_opi(") +
+               std::to_string(ewOpCode(e.aop)) + ", " + a + ", " + b + ")";
     }
     return "0";
   }
@@ -1427,6 +1431,44 @@ private:
     }
     --indent_;
     line() << "}\n";
+  }
+
+  /// Marks in `used` the locals `s` names where no parallel body's shadow
+  /// (see emitParallelFor) hides them: a parallel loop's bounds and its
+  /// reductions' combine are outside its body.
+  void markUsed(const Stmt& s, const std::set<int32_t>* shadows,
+                std::vector<bool>& used) const {
+    auto mark = [&](int32_t slot) {
+      if (slot >= 0 && !(shadows && shadows->count(slot))) used[slot] = true;
+    };
+    std::function<void(const Expr&)> expr = [&](const Expr& e) {
+      if (e.k == Expr::K::Var) mark(e.slot);
+      for (const auto& a : e.args)
+        if (a) expr(*a);
+      for (const auto& d : e.dims)
+        for (const auto* x : {d.a.get(), d.b.get()})
+          if (x) expr(*x);
+    };
+    for (const auto& e : s.exprs)
+      if (e) expr(*e);
+    for (const auto& d : s.dims)
+      for (const auto* x : {d.a.get(), d.b.get()})
+        if (x) expr(*x);
+    for (int32_t d : s.dsts) mark(d);
+    std::set<int32_t> assigned;
+    if (s.k == Stmt::K::For && s.parallel && !shadows) {
+      assigned.insert(s.slot);
+      collectAssigned(*s.kids[0], assigned);
+      for (const auto& red : s.reds) {
+        assigned.insert(red.first);
+        mark(red.first);
+      }
+      shadows = &assigned;
+    } else if (s.k != Stmt::K::Block && s.k != Stmt::K::CallAssign) {
+      mark(s.slot);
+    }
+    for (const auto& k : s.kids)
+      if (k) markUsed(*k, shadows, used);
   }
 
   // --- loops -----------------------------------------------------------

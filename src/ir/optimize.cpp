@@ -1071,6 +1071,46 @@ bool scanBlock(Ctx& c, Stmt& blk, VN& env) {
   return false;
 }
 
+/// A scalar value that can neither fail nor have an effect.
+bool pureScalar(const Expr& e) {
+  switch (e.k) {
+    case Expr::K::ConstI:
+    case Expr::K::ConstF:
+    case Expr::K::ConstB:
+    case Expr::K::Var:
+      return true;
+    case Expr::K::Arith:
+      return e.ty != Ty::Mat &&
+             (e.aop == ArithOp::Add || e.aop == ArithOp::Sub ||
+              e.aop == ArithOp::Mul) &&
+             pureScalar(*e.args[0]) && pureScalar(*e.args[1]);
+    default:
+      return false;
+  }
+}
+
+/// Deletes pure assignments to scalar locals that no statement reads, until
+/// none is left (fusion leaves the consumer's bound locals behind this way).
+void eraseUnreadScalarAssigns(Function& f) {
+  for (bool changed = true; changed;) {
+    changed = false;
+    std::set<int32_t> read;
+    an::forEachStmt(*f.body, [&](const Stmt& s) {
+      for (int32_t r : an::readSlots(s)) read.insert(r);
+    });
+    an::forEachStmt(*f.body, [&](Stmt& s) {
+      if (s.k != Stmt::K::Block) return;
+      size_t n = s.kids.size();
+      std::erase_if(s.kids, [&](const StmtPtr& k) {
+        return k && k->k == Stmt::K::Assign && !read.count(k->slot) &&
+               f.locals[k->slot].ty != Ty::Mat &&
+               f.locals[k->slot].ty != Ty::Str && pureScalar(*k->exprs[0]);
+      });
+      changed |= s.kids.size() != n;
+    });
+  }
+}
+
 void optimizeFunction(Function& f, const an::SummaryMap& sums,
                       const OptOptions& opts, OptStats& stats) {
   Ctx c{f, sums, opts, stats};
@@ -1095,6 +1135,7 @@ void optimizeFunction(Function& f, const an::SummaryMap& sums,
     }
     if (!rewrote) break;
   }
+  if (opts.elimTemp) eraseUnreadScalarAssigns(f);
 }
 
 // ---------------------------------------------------------------------------

@@ -804,27 +804,59 @@ TEST(CEmit, DefaultEmissionCarriesTheSharedAllocatorSource) {
   EXPECT_NE(c.find(shared), std::string::npos);
 }
 
+std::string temporalMeanProgram(const std::string& in);
+
 TEST(CEmit, UnusedRuntimeHelpersDoNotWarn) {
   // A program calls only some of the runtime's helpers. The rest must not
   // trip -Wunused-function in a user's warning build, with or without the
-  // instrumentation runtime.
-  auto res = translateXc(kAllocChurnProgram);
-  ASSERT_TRUE(res.ok) << res.renderDiagnostics();
-  for (auto mode : {ir::InstrumentMode::Off, ir::InstrumentMode::Counters}) {
+  // instrumentation runtime. Nor may the program's own locals warn: -O1
+  // fusion leaves some unused, and parallel bodies declare their own.
+  const std::string chain = R"(
+int main() {
+  Matrix float <2> base = readMatrix("plane.mmx");
+  int m = dimSize(base, 0);
+  int n = dimSize(base, 1);
+  Matrix float <2> out = init(Matrix float <2>, m, n);
+  for (int rep = 0; rep < 20; rep++) {
+    Matrix float <2> tmp = with ([0,0] <= [i,j] < [m,n])
+        genarray([m,n], base[i, j] * 2.0 + 1.0);
+    out = with ([0,0] <= [i,j] < [m,n])
+        genarray([m,n], tmp[i, j] + rep * 1.0);
+  }
+  printFloat(with ([0,0] <= [x,y] < [m,n]) fold(+, 0.0, out[x,y]));
+  return 0;
+})";
+  driver::TranslateOptions o1;
+  o1.optFuse = o1.optElimTemp = o1.optInplace = o1.optAutopar = true;
+  struct Case {
+    const char* tag;
+    std::string src;
+    driver::TranslateOptions opts;
+    ir::InstrumentMode mode;
+  };
+  for (const Case& k :
+       {Case{"off", kAllocChurnProgram, {}, ir::InstrumentMode::Off},
+        Case{"counters", kAllocChurnProgram, {}, ir::InstrumentMode::Counters},
+        Case{"fig1_o1", temporalMeanProgram("field.mmx"), o1,
+             ir::InstrumentMode::Off},
+        Case{"chain_o1", chain, o1, ir::InstrumentMode::Off}}) {
+    auto res = translateXc(k.src, k.opts);
+    ASSERT_TRUE(res.ok) << res.renderDiagnostics();
     ir::CEmitOptions eo;
     eo.boundsChecks = res.boundsChecks;
     eo.plan = res.guardPlan;
-    eo.instrument = mode;
+    eo.instrument = k.mode;
     auto c = ir::emitC(*res.module, eo);
     ASSERT_TRUE(c.ok) << (c.errors.empty() ? "" : c.errors.front());
-    std::string base = std::string(::testing::TempDir()) + "cemit_unused_" +
-                       (mode == ir::InstrumentMode::Off ? "off" : "counters");
+    std::string base =
+        std::string(::testing::TempDir()) + "cemit_unused_" + k.tag;
     std::ofstream(base + ".c") << c.code;
     int rc = std::system(("cc -O1 -std=gnu99 -msse4.2 -fopenmp -Wall -Wextra "
-                          "-Werror=unused-function -c " +
+                          "-Werror=unused-function -Werror=unused-variable "
+                          "-Werror=unused-but-set-variable -c " +
                           base + ".c -o " + base + ".o 2>" + base + ".err")
                              .c_str());
-    EXPECT_EQ(rc, 0) << slurpFile(base + ".err");
+    EXPECT_EQ(rc, 0) << k.tag << ":\n" << slurpFile(base + ".err");
     for (const char* ext : {".c", ".o", ".err"})
       std::remove((base + ext).c_str());
   }
