@@ -94,8 +94,9 @@ TEST(Matrix, InvalidConstructionThrows) {
 }
 
 TEST(Matrix, ShapeString) {
-  Matrix m = Matrix::zeros(Elem::F32, {721, 1440, 954});
-  EXPECT_EQ(m.shapeString(), "721x1440x954 float");
+  // The paper's 721x1440 grid with two time steps: 8 MB, not 4 GB.
+  Matrix m = Matrix::zeros(Elem::F32, {721, 1440, 2});
+  EXPECT_EQ(m.shapeString(), "721x1440x2 float");
   EXPECT_EQ(Matrix().shapeString(), "<null>");
 }
 
