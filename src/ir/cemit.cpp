@@ -1464,7 +1464,7 @@ private:
         mark(red.first);
       }
       shadows = &assigned;
-    } else if (s.k != Stmt::K::Block && s.k != Stmt::K::CallAssign) {
+    } else {
       mark(s.slot);
     }
     for (const auto& k : s.kids)
@@ -1491,13 +1491,6 @@ private:
     if (s.k == Stmt::K::Assign) out.insert(s.slot);
     for (const auto& k : s.kids)
       if (k) collectVecAssigned(*k, out);
-  }
-
-  /// `a op b` for a fold reduction on `slot`'s type (the interp's combine).
-  std::string combine(int32_t slot, ArithOp op, const std::string& a,
-                      const std::string& b) const {
-    return (f_.locals[slot].ty == Ty::F32 ? "mmx_opf(" : "mmx_opi(") +
-           std::to_string(ewOpCode(op)) + ", " + a + ", " + b + ")";
   }
 
   void emitFor(const Stmt& s) {
@@ -1533,7 +1526,9 @@ private:
     for (size_t r = 0; r < s.reds.size(); ++r) {
       const auto& [slot, op] = s.reds[r];
       line() << names_[slot] << " = "
-             << combine(slot, op, saved[r], names_[slot]) << ";\n";
+             << (f_.locals[slot].ty == Ty::F32 ? "mmx_opf(" : "mmx_opi(")
+             << ewOpCode(op) << ", " << saved[r] << ", " << names_[slot]
+             << ");\n";
     }
     --indent_;
     line() << "}\n";
